@@ -427,7 +427,6 @@ def _build_parser() -> _Parser:
     p.add_argument("manifest", help="bundle manifest file or directory")
     p.add_argument("--cnf", default=None,
                    help="cross-check the bundle against this DIMACS file")
-    _add_common(p)
     p.set_defaults(func=cmd_check)
     return parser
 

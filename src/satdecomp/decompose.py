@@ -1,9 +1,9 @@
 """Solving through decomposition sets.
 
 A decomposition set B splits a formula into 2^|B| branch formulas, each
-first probed by unit propagation and escalated to a fresh CDCL solve only
-when the probe leaves it undecided. Several sets combine through the
-Cartesian product of their undecided branches. Branch workloads are
+first probed by unit propagation and escalated to CDCL search on the same
+engine only when the probe leaves it undecided. Several sets combine
+through the Cartesian product of their undecided branches. Branch workloads are
 observed identically to the hardness estimator, so decomposed totals line
 up with estimates to the last propagation.
 """
@@ -14,18 +14,22 @@ import csv
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .estimator import DecompositionSet, branch_assignment, branch_bits
-from .formula import Assignment, CnfFormula, substitute
+from .formula import Assignment, CnfFormula
 from .parallel import ordered_map
 from .solver import (
-    DECIDED_SAT,
-    DECIDED_UNSAT,
+    CDCL,
+    LIMIT,
     SAT,
+    UNDECIDED,
+    UNKNOWN,
     UNSAT,
+    UP_DECIDED,
+    BranchOutcome,
     SolverConfig,
-    propagate_only,
-    solve,
+    evaluate_branch,
 )
 
 __all__ = [
@@ -40,9 +44,6 @@ __all__ = [
     "write_branch_ledger",
     "LEDGER_HEADER",
 ]
-
-UP_DECIDED = "up_decided"
-CDCL = "cdcl"
 
 LEDGER_HEADER = [
     "backdoor_id",
@@ -101,74 +102,29 @@ def _total_witness(num_vars: int, *layers: Assignment) -> Assignment:
     return witness
 
 
-def _observe_branch(args) -> tuple:
-    """Probe-then-solve one branch, mirroring the estimator's accounting."""
-    formula, beta, bits, backdoor_id, cfg = args
-    residual = substitute(formula, beta)
-    probe = propagate_only(residual)
-    if probe.status == DECIDED_UNSAT:
-        return BranchResult(
-            backdoor_id,
-            bits,
-            beta,
-            UP_DECIDED,
-            UNSAT,
-            probe.propagations,
-            0,
-            probe.elapsed,
-        )
-    if probe.status == DECIDED_SAT:
-        return BranchResult(
-            backdoor_id,
-            bits,
-            beta,
-            UP_DECIDED,
-            SAT,
-            probe.propagations,
-            0,
-            probe.elapsed,
-            model=dict(probe.assignment),
-        )
-    out = solve(residual, cfg=cfg)
+def _branch_result(
+    backdoor_id: int, bits: str, beta: Assignment, out: BranchOutcome
+) -> BranchResult:
     return BranchResult(
         backdoor_id,
         bits,
         beta,
-        CDCL,
+        out.tier,
         out.verdict,
         out.propagations,
         out.conflicts,
         out.elapsed,
-        model=dict(out.model) if out.model is not None else None,
-    )
-
-
-def _classify_branch(args) -> tuple:
-    """UP-probe one branch for the multi-set classification pass."""
-    formula, beta, bits, backdoor_id = args
-    probe = propagate_only(substitute(formula, beta))
-    return (beta, bits, backdoor_id, probe)
-
-
-def _solve_merged(args) -> BranchResult:
-    """Full CDCL solve of one merged product branch."""
-    formula, gamma, bits, backdoor_id, cfg = args
-    out = solve(substitute(formula, gamma), cfg=cfg)
-    return BranchResult(
-        backdoor_id,
-        bits,
-        gamma,
-        CDCL,
-        out.verdict,
-        out.propagations,
-        out.conflicts,
-        out.elapsed,
-        model=dict(out.model) if out.model is not None else None,
+        model=out.model,
     )
 
 
 def _finish(formula, branches, witness, vacuous=0, hard_sets=()):
-    verdict = SAT if witness is not None else UNSAT
+    if witness is not None:
+        verdict = SAT
+    elif any(b.verdict == LIMIT for b in branches):
+        verdict = UNKNOWN
+    else:
+        verdict = UNSAT
     return DecomposedVerdict(
         verdict=verdict,
         witness=witness,
@@ -194,19 +150,20 @@ def solve_with_backdoor(
 
     Branches run in lexicographic order of the assignment bits. A
     satisfiable branch short-circuits the rest; unsatisfiability requires
-    every branch refuted. The verdict always matches a direct solve.
+    every branch refuted. A branch that hits cfg.conflict_limit makes the
+    verdict UNKNOWN unless some branch is satisfiable. Any other verdict
+    matches a direct solve.
     """
     if B.num_vars != formula.num_vars:
         raise ValueError("decomposition set and formula disagree on num_vars")
     count = 1 << len(B)
     if count > cap:
         raise ValueError(f"2^|B| = {count} exceeds the enumeration cap {cap}")
-    jobs = []
-    for idx in range(count):
-        beta = branch_assignment(B, idx)
-        jobs.append((formula, beta, branch_bits(B, beta), 0, cfg))
+    betas = [branch_assignment(B, idx) for idx in range(count)]
+    kernel = partial(evaluate_branch, formula, cfg=cfg)
     branches: list[BranchResult] = []
-    for br in ordered_map(_observe_branch, jobs, workers=workers):
+    for beta, out in zip(betas, ordered_map(kernel, betas, workers=workers)):
+        br = _branch_result(0, branch_bits(B, beta), beta, out)
         branches.append(br)
         if br.verdict == SAT:
             witness = _total_witness(formula.num_vars, br.model or {}, br.beta)
@@ -228,7 +185,8 @@ def solve_with_backdoors(
     solved branch by branch. Sets may overlap: a product element whose
     parts contradict each other covers no assignment and is skipped,
     counted as vacuous. Unsatisfiable iff every easy branch and every
-    nonvacuous merged branch is.
+    nonvacuous merged branch is; UNKNOWN when a merged branch hits
+    cfg.conflict_limit and none is satisfiable.
     """
     if not backdoors:
         raise ValueError("need at least one decomposition set")
@@ -240,36 +198,18 @@ def solve_with_backdoors(
 
     branches: list[BranchResult] = []
     hard_sets: list[HardSet] = []
+    probe = partial(evaluate_branch, formula, search=False)
     for bid, B in enumerate(backdoors):
         hard: list[Assignment] = []
-        jobs = []
-        for idx in range(1 << len(B)):
-            beta = branch_assignment(B, idx)
-            jobs.append((formula, beta, branch_bits(B, beta), bid))
-        for beta, bits, _bid, probe in ordered_map(
-            _classify_branch, jobs, workers=workers
-        ):
-            if probe.status == DECIDED_UNSAT:
-                branches.append(
-                    BranchResult(
-                        bid, bits, beta, UP_DECIDED, UNSAT,
-                        probe.propagations, 0, probe.elapsed,
-                    )
-                )
-            elif probe.status == DECIDED_SAT:
-                branches.append(
-                    BranchResult(
-                        bid, bits, beta, UP_DECIDED, SAT,
-                        probe.propagations, 0, probe.elapsed,
-                        model=dict(probe.assignment),
-                    )
-                )
-                witness = _total_witness(
-                    formula.num_vars, dict(probe.assignment), beta
-                )
-                return _finish(formula, branches, witness, hard_sets=hard_sets)
-            else:
+        betas = [branch_assignment(B, idx) for idx in range(1 << len(B))]
+        for beta, out in zip(betas, ordered_map(probe, betas, workers=workers)):
+            if out.tier == UNDECIDED:
                 hard.append(beta)
+                continue
+            branches.append(_branch_result(bid, branch_bits(B, beta), beta, out))
+            if out.verdict == SAT:
+                witness = _total_witness(formula.num_vars, out.model, beta)
+                return _finish(formula, branches, witness, hard_sets=hard_sets)
         hard_sets.append(HardSet(B, tuple(hard)))
 
     product_total = 1
@@ -284,7 +224,7 @@ def solve_with_backdoors(
     union_set = DecompositionSet(formula.num_vars, union_mask)
 
     vacuous = 0
-    merged_jobs = []
+    gammas = []
     for parts in itertools.product(*(hs.hard for hs in hard_sets)):
         gamma: Assignment = {}
         conflict = False
@@ -299,10 +239,10 @@ def solve_with_backdoors(
         if conflict:
             vacuous += 1
             continue
-        merged_jobs.append(
-            (formula, gamma, branch_bits(union_set, gamma), -1, cfg)
-        )
-    for br in ordered_map(_solve_merged, merged_jobs, workers=workers):
+        gammas.append(gamma)
+    solve_branch = partial(evaluate_branch, formula, cfg=cfg, up_first=False)
+    for gamma, out in zip(gammas, ordered_map(solve_branch, gammas, workers=workers)):
+        br = _branch_result(-1, branch_bits(union_set, gamma), gamma, out)
         branches.append(br)
         if br.verdict == SAT:
             witness = _total_witness(formula.num_vars, br.model or {}, br.beta)

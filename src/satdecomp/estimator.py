@@ -18,20 +18,17 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import parallel
-from .formula import Assignment, CnfFormula, substitute
+from .formula import Assignment, CnfFormula
 from .solver import (
-    CONFLICTS,
-    DECIDED_SAT,
-    DECIDED_UNSAT,
     MEASURES,
     PROPAGATIONS,
     SAT,
     UNDECIDED,
-    PropagateResult,
-    propagate_only,
+    UP_DECIDED,
+    evaluate_branch,
     solve,
     workload,
 )
@@ -165,25 +162,21 @@ def branch_bits(B: DecompositionSet, beta: Assignment) -> str:
 
 
 class _BetaStream:
-    """Uniform assignments of B with a seed-stable prefix.
+    """Uniform branch indices of B with a seed-stable prefix.
 
     Draw j is a fixed function of (seed, B, j): one Mersenne Twister stream
     keyed by SHA-256 of the seed and the member list, consumed in order.
+    Index r stands for branch_assignment(B, r).
     """
 
     def __init__(self, B: DecompositionSet, seed: int) -> None:
-        self._members = B.members
-        self._rng = random.Random(_stream_seed(seed, self._members))
-        self._drawn: list[Assignment] = []
+        self._bits = len(B)
+        self._rng = random.Random(_stream_seed(seed, B.members))
+        self._drawn: list[int] = []
 
-    def prefix(self, n: int) -> list[Assignment]:
-        members = self._members
-        m = len(members)
+    def prefix(self, n: int) -> list[int]:
         while len(self._drawn) < n:
-            r = self._rng.getrandbits(m)
-            self._drawn.append(
-                {v: (r >> (m - 1 - i)) & 1 for i, v in enumerate(members)}
-            )
+            self._drawn.append(self._rng.getrandbits(self._bits))
         return self._drawn[:n]
 
 
@@ -197,7 +190,8 @@ def sample_assignments(B: DecompositionSet, n: int, seed: int) -> SampleDraw:
     if m <= 60 and (1 << m) <= n:
         full = [branch_assignment(B, i) for i in range(1 << m)]
         return SampleDraw(tuple(full), True)
-    return SampleDraw(tuple(_BetaStream(B, seed).prefix(n)), False)
+    drawn = _BetaStream(B, seed).prefix(n)
+    return SampleDraw(tuple(branch_assignment(B, r) for r in drawn), False)
 
 
 def required_sample_size(stats: SampleStats, epsilon: float, delta: float) -> int:
@@ -240,82 +234,49 @@ def _estimate_fields(stats: SampleStats, b_size: int) -> tuple[float, float]:
     return value, log2_value
 
 
-# Top-level observation functions so worker pools can pickle them.
+class _Branches:
+    """Branch observations of one estimate, each branch evaluated once.
 
-def _observe_plain(args) -> tuple:
-    formula, beta, measure = args
-    residual = substitute(formula, beta)
-    out = solve(residual)
-    if out.verdict == SAT:
-        witness = dict(out.model)
-        witness.update(beta)
-        return (workload(out, measure), False, True, witness)
-    return (workload(out, measure), False, False, None)
-
-
-def _observe_up_first(args) -> tuple:
-    """Two-tier observation: UP probe first, full solve only if undecided."""
-    formula, beta, measure = args
-    residual = substitute(formula, beta)
-    probe = propagate_only(residual)
-    if probe.status == DECIDED_UNSAT:
-        if measure == PROPAGATIONS:
-            cost = probe.propagations
-        elif measure == CONFLICTS:
-            cost = 0
-        else:
-            cost = probe.elapsed
-        return (cost, True, False, None)
-    if probe.status == DECIDED_SAT:
-        witness = dict(probe.assignment)
-        witness.update(beta)
-        return (0, True, True, witness)
-    out = solve(residual)
-    if out.verdict == SAT:
-        witness = dict(out.model)
-        witness.update(beta)
-        return (workload(out, measure), False, True, witness)
-    return (workload(out, measure), False, False, None)
-
-
-class UpContext:
-    """Persistent unit-propagation probe over one formula.
-
-    Classifies branch assignments as decided (easy) or undecided (hard) and
-    reports the probe workload. Queries substitute into the stored formula
-    and run the shared root-propagation engine, so workloads agree exactly
-    with what a full solver launch would report on decided branches.
+    Observations are kept under their branch index, so a repeated draw and
+    the switch from sampling to enumeration reuse work already done.
     """
 
-    def __init__(self, formula: CnfFormula) -> None:
-        self.formula = formula
-        self.queries = 0
-        self.easy = 0
+    def __init__(
+        self, formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig, use_up: bool
+    ) -> None:
+        self.B = B
+        self.measure = cfg.measure
+        self.workers = cfg.workers
+        self.kernel = partial(evaluate_branch, formula, up_first=use_up)
+        self.seen: dict[int, tuple[int | float, bool]] = {}  # index -> (cost, easy)
+        self.witness: Assignment | None = None
 
-    def probe(self, beta: Assignment) -> PropagateResult:
-        self.queries += 1
-        result = propagate_only(substitute(self.formula, beta))
-        if result.status != UNDECIDED:
-            self.easy += 1
-        return result
+    def evaluate(self, indices) -> bool:
+        """Evaluate the unseen branches among indices, in order of first
+        appearance. Stops at a satisfiable branch, keeping its witness, and
+        returns False then."""
+        todo = [i for i in dict.fromkeys(indices) if i not in self.seen]
+        betas = [branch_assignment(self.B, i) for i in todo]
+        outcomes = parallel.ordered_map(self.kernel, betas, self.workers)
+        for i, beta, out in zip(todo, betas, outcomes):
+            if out.verdict == SAT:
+                self.witness = dict(out.model)
+                self.witness.update(beta)
+                return False
+            self.seen[i] = (workload(out, self.measure), out.tier == UP_DECIDED)
+        return True
 
-
-def _run_observations(formula, betas, measure, use_up, workers):
-    """Workloads for each beta in order; stops early at a SAT discovery.
-
-    Returns (observations, easy_count, sat_found, witness, completed).
-    """
-    fn = _observe_up_first if use_up else _observe_plain
-    args = [(formula, beta, measure) for beta in betas]
-    observations: list = []
-    easy = 0
-    for cost, was_easy, sat, witness in parallel.ordered_map(fn, args, workers):
-        if sat:
-            return observations, easy, True, witness, False
-        observations.append(cost)
-        if was_easy:
-            easy += 1
-    return observations, easy, False, None, True
+    def observed(self, indices) -> tuple[list, int]:
+        """Costs and easy count of indices up to the first unevaluated one."""
+        costs = []
+        easy = 0
+        for i in indices:
+            hit = self.seen.get(i)
+            if hit is None:
+                break
+            costs.append(hit[0])
+            easy += hit[1]
+        return costs, easy
 
 
 def _validate_b(formula: CnfFormula, B: DecompositionSet) -> None:
@@ -331,9 +292,9 @@ def _estimate(
     _validate_b(formula, B)
     b = len(B)
     full = (1 << b) if b <= 60 else None
-    easy_field = 0 if use_up else None
+    branches = _Branches(formula, B, cfg, use_up)
 
-    def finish(stats, converged, exhaustive, easy):
+    def finish(stats, easy, converged, exhaustive):
         value, log2_value = _estimate_fields(stats, b)
         return DHardnessEstimate(
             stats=stats,
@@ -346,7 +307,8 @@ def _estimate(
             easy_count=easy if use_up else None,
         )
 
-    def sat_estimate(observations, easy, witness):
+    def sat_estimate(indices):
+        observations, easy = branches.observed(indices)
         stats = (
             compute_stats(observations) if observations else SampleStats(0, 0.0, 0.0)
         )
@@ -359,45 +321,35 @@ def _estimate(
             converged=False,
             exhaustive=False,
             sat_found=True,
-            witness=witness,
+            witness=branches.witness,
             easy_count=easy if use_up else None,
         )
 
     def run_exhaustive():
         if full > cfg.enumeration_cap:
             raise ValueError("2^|B| exceeds the enumeration cap")
-        betas = [branch_assignment(B, i) for i in range(full)]
-        obs, easy, sat, witness, _ = _run_observations(
-            formula, betas, cfg.measure, use_up, cfg.workers
-        )
-        if sat:
-            return sat_estimate(obs, easy, witness)
-        return finish(compute_stats(obs), True, True, easy)
+        every = range(full)
+        if not branches.evaluate(every):
+            return sat_estimate(every)
+        observations, easy = branches.observed(every)
+        return finish(compute_stats(observations), easy, True, True)
 
     if full is not None and full <= cfg.initial_n:
         return run_exhaustive()
 
     stream = _BetaStream(B, cfg.seed)
-    observations: list = []
-    easy_total = 0
     target = cfg.initial_n
     while True:
-        new_betas = stream.prefix(target)[len(observations):]
-        obs, easy, sat, witness, _ = _run_observations(
-            formula, new_betas, cfg.measure, use_up, cfg.workers
-        )
-        easy_total += easy
-        if sat:
-            return sat_estimate(observations + obs, easy_total, witness)
-        observations.extend(obs)
+        drawn = stream.prefix(target)
+        if not branches.evaluate(drawn):
+            return sat_estimate(drawn)
+        observations, easy = branches.observed(drawn)
         stats = compute_stats(observations)
-        if stats.mean == 0:
-            return finish(stats, True, False, easy_total)
-        needed = required_sample_size(stats, cfg.epsilon, cfg.delta)
-        if stats.n >= needed:
-            return finish(stats, True, False, easy_total)
+        # a zero mean needs a sample of 1, so it counts as converged
+        if stats.n >= required_sample_size(stats, cfg.epsilon, cfg.delta):
+            return finish(stats, easy, True, False)
         if stats.n >= cfg.max_n:
-            return finish(stats, False, False, easy_total)
+            return finish(stats, easy, False, False)
         target = min(2 * stats.n, cfg.max_n)
         if full is not None and full <= target:
             return run_exhaustive()
@@ -411,8 +363,10 @@ def estimate_d_hardness(
     The sample starts at cfg.initial_n observations and doubles (pooling
     all observations) until the required-sample-size condition holds or
     cfg.max_n is reached; exhaustive enumeration replaces sampling as soon
-    as 2^|B| fits the current sample size, giving the exact value. Any SAT
-    branch aborts estimation with sat_found set and a witness.
+    as 2^|B| fits the current sample size, giving the exact value. Each
+    distinct branch is solved once: repeated draws and the enumeration
+    reuse earlier observations. Any SAT branch aborts estimation with
+    sat_found set and a witness.
     """
     return _estimate(formula, B, cfg or EstimatorConfig(), use_up=False)
 
@@ -439,25 +393,14 @@ def estimate_rho(
     """Fraction of branch formulas decided by unit propagation alone."""
     _validate_b(formula, B)
     draw = sample_assignments(B, n, seed)
-    ctx = UpContext(formula)
-    if workers > 1:
-        args = [(formula, beta) for beta in draw.assignments]
-        decided = sum(
-            1
-            for status in parallel.ordered_map(_probe_status, args, workers)
-            if status != UNDECIDED
-        )
-    else:
-        decided = sum(
-            1 for beta in draw.assignments if ctx.probe(beta).status != UNDECIDED
-        )
+    probe = partial(evaluate_branch, formula, search=False)
+    decided = sum(
+        1
+        for out in parallel.ordered_map(probe, draw.assignments, workers)
+        if out.tier != UNDECIDED
+    )
     total = len(draw.assignments)
     return RhoEstimate(decided / total, total, decided, draw.exhaustive)
-
-
-def _probe_status(args) -> str:
-    formula, beta = args
-    return propagate_only(substitute(formula, beta)).status
 
 
 def exact_d_hardness(
@@ -481,8 +424,8 @@ def exact_d_hardness(
     if b == 0:
         return workload(solve(formula), measure)
     betas = [branch_assignment(B, i) for i in range(1 << b)]
-    args = [(formula, beta, measure) for beta in betas]
-    total = 0
-    for cost, _, _, _ in parallel.ordered_map(_observe_plain, args, workers):
-        total += cost
-    return total
+    solve_branch = partial(evaluate_branch, formula, up_first=False)
+    return sum(
+        workload(out, measure)
+        for out in parallel.ordered_map(solve_branch, betas, workers)
+    )

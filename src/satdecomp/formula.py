@@ -54,6 +54,15 @@ class CnfFormula:
                 raise CnfError(f"duplicate clause {cl}")
             seen.add(key)
 
+    @classmethod
+    def _trusted(cls, num_vars: int, clauses: tuple[Clause, ...]) -> "CnfFormula":
+        """Build without validation; only for clause sets that already meet
+        the invariants, such as deduplicated sub-clauses of a valid formula."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "num_vars", num_vars)
+        object.__setattr__(obj, "clauses", clauses)
+        return obj
+
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
@@ -150,34 +159,30 @@ def substitute(formula: CnfFormula, beta: Assignment) -> CnfFormula:
     Variable indices are preserved (no renumbering). If some clause becomes
     empty the canonical trivially-unsatisfiable formula is returned.
     Residual clauses that collapse to the same literal set are deduplicated,
-    keeping the first occurrence.
+    keeping the first occurrence. The result is built without validating it
+    again: sub-clauses of a valid formula, deduplicated, are valid.
     """
     check_assignment(formula, beta)
     if not beta:
         return formula
+    true_lits = {v if val else -v for v, val in beta.items()}
+    false_lits = {-lit for lit in true_lits}
     new_clauses: list[Clause] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[frozenset[int]] = set()
     for cl in formula.clauses:
-        satisfied = False
-        kept: list[int] = []
-        for lit in cl:
-            val = beta.get(abs(lit))
-            if val is None:
-                kept.append(lit)
-            elif (lit > 0) == (val == 1):
-                satisfied = True
-                break
-            # else: literal falsified, dropped
-        if satisfied:
-            continue
-        if not kept:
-            return trivially_unsat(formula.num_vars)
-        key = tuple(sorted(kept))
+        if not true_lits.isdisjoint(cl):
+            continue  # satisfied
+        if not false_lits.isdisjoint(cl):
+            cl = tuple([lit for lit in cl if lit not in false_lits])
+            if not cl:
+                return trivially_unsat(formula.num_vars)
+        # clauses hold no repeated literal, so a set identifies a clause
+        key = frozenset(cl)
         if key in seen:
             continue
         seen.add(key)
-        new_clauses.append(tuple(kept))
-    return CnfFormula(formula.num_vars, tuple(new_clauses))
+        new_clauses.append(cl)
+    return CnfFormula._trusted(formula.num_vars, tuple(new_clauses))
 
 
 def evaluate(formula: CnfFormula, assignment: Assignment) -> bool:

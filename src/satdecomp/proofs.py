@@ -12,20 +12,22 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 from .estimator import DecompositionSet, branch_assignment, branch_bits
 from .formula import Assignment, CnfFormula, parse_dimacs, substitute, write_dimacs
 from .parallel import ordered_map
 from .search import SatDiscovered
 from .solver import (
-    DECIDED_SAT,
-    DECIDED_UNSAT,
     SAT,
+    UNDECIDED,
     UNSAT,
+    UP_DECIDED,
+    BranchOutcome,
     DratProof,
     SolverConfig,
     check_drat,
-    propagate_only,
+    evaluate_branch,
     solve,
 )
 
@@ -124,13 +126,6 @@ def _branch_formula(
     return CnfFormula(formula.num_vars, tuple(units) + residual.clauses)
 
 
-def _prove_hard_branch(args) -> tuple:
-    formula, B, beta, measure_cfg = args
-    residual = substitute(formula, beta)
-    out = solve(residual, cfg=measure_cfg)
-    return (beta, out)
-
-
 def generate_proof_bundle(
     formula: CnfFormula,
     B: DecompositionSet,
@@ -144,8 +139,9 @@ def generate_proof_bundle(
     Hard branches (UP-undecided) are solved one by one with proof logging;
     easy branches are dealt round-robin, in lexicographic order, into
     k_groups cube groups, each proved unsatisfiable as one selector-encoded
-    formula. A satisfiable branch aborts the bundle. Deterministic file
-    content for a fixed formula and decomposition set.
+    formula. A satisfiable branch aborts the bundle, the first one decided
+    by unit propagation taking precedence over those found by search.
+    Deterministic file content for a fixed formula and decomposition set.
     """
     if B.num_vars != formula.num_vars:
         raise ValueError("decomposition set and formula disagree on num_vars")
@@ -155,39 +151,37 @@ def generate_proof_bundle(
     if count > cap:
         raise ValueError(f"2^|B| = {count} exceeds the enumeration cap {cap}")
 
+    proof_cfg = SolverConfig(proof_logging=True)
+    kernel = partial(evaluate_branch, formula, cfg=proof_cfg)
+    betas = [branch_assignment(B, idx) for idx in range(count)]
     easy: list[Assignment] = []
-    hard: list[Assignment] = []
-    for idx in range(count):
-        beta = branch_assignment(B, idx)
-        probe = propagate_only(substitute(formula, beta))
-        if probe.status == DECIDED_SAT:
-            witness = dict(probe.assignment)
-            witness.update(beta)
-            raise SatDiscovered(witness, mask=B)
-        if probe.status == DECIDED_UNSAT:
+    hard: list[tuple[Assignment, str]] = []  # branch and its proof text
+    solved_sat = None  # first branch that search satisfies
+    for beta, out in zip(betas, ordered_map(kernel, betas, workers=workers)):
+        if out.tier == UP_DECIDED:
+            if out.verdict == SAT:
+                raise _sat_discovered(out, beta, B)
             easy.append(beta)
+        elif out.verdict == SAT:
+            solved_sat = solved_sat or (out, beta)
         else:
-            hard.append(beta)
+            hard.append((beta, out.proof.to_text()))
+    if solved_sat is not None:
+        raise _sat_discovered(*solved_sat, B)
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, BASE_NAME), "w") as fh:
         fh.write(write_dimacs(formula))
 
     units: list[ManifestUnit] = []
-    proof_cfg = SolverConfig(proof_logging=True)
-    jobs = [(formula, B, beta, proof_cfg) for beta in hard]
-    for beta, out in ordered_map(_prove_hard_branch, jobs, workers=workers):
-        if out.verdict == SAT:
-            witness = dict(out.model)
-            witness.update(beta)
-            raise SatDiscovered(witness, mask=B)
+    for beta, proof_text in hard:
         bits = branch_bits(B, beta)
         cnf_name = f"branch_{bits}.cnf"
         drat_name = f"branch_{bits}.drat"
         with open(os.path.join(out_dir, cnf_name), "w") as fh:
             fh.write(write_dimacs(_branch_formula(formula, B, beta)))
         with open(os.path.join(out_dir, drat_name), "w") as fh:
-            fh.write(out.proof.to_text())
+            fh.write(proof_text)
         units.append(ManifestUnit(HARD_BRANCH, cnf_name, drat_name, bits))
 
     group_jobs = []
@@ -232,6 +226,14 @@ def generate_proof_bundle(
     )
 
 
+def _sat_discovered(
+    out: BranchOutcome, beta: Assignment, B: DecompositionSet
+) -> SatDiscovered:
+    witness = dict(out.model)
+    witness.update(beta)
+    return SatDiscovered(witness, mask=B)
+
+
 def _prove_group(args) -> tuple:
     formula, cubes, cfg = args
     group = build_cube_group(formula, list(cubes))
@@ -258,9 +260,7 @@ def _fail(reason: str, units=()) -> BundleCheck:
     return BundleCheck(ok=False, units=tuple(units), reason=reason)
 
 
-def check_proof_bundle(
-    path: str, formula: CnfFormula | None = None, workers: int = 1
-) -> BundleCheck:
+def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCheck:
     """Verify a proof bundle from its manifest.
 
     Re-derives every branch and cube group from the base CNF and the
@@ -339,13 +339,13 @@ def check_proof_bundle(
     expected_hard: dict[str, Assignment] = {}
     for idx in range(1 << len(B)):
         beta = branch_assignment(B, idx)
-        probe = propagate_only(substitute(base, beta))
-        if probe.status == DECIDED_SAT:
+        probe = evaluate_branch(base, beta, search=False)
+        if probe.verdict == SAT:
             return _fail("a branch of the base formula is satisfiable")
-        if probe.status == DECIDED_UNSAT:
-            easy.append(beta)
-        else:
+        if probe.tier == UNDECIDED:
             expected_hard[branch_bits(B, beta)] = beta
+        else:
+            easy.append(beta)
     expected_groups: dict[str, list[Assignment]] = {}
     for k in range(k_groups):
         cubes = [easy[i] for i in range(k, len(easy), k_groups)]

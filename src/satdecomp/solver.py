@@ -20,15 +20,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .formula import Assignment, Clause, CnfFormula, check_assignment
+from .formula import Assignment, Clause, CnfFormula, check_assignment, substitute
 
 SAT = "SAT"
 UNSAT = "UNSAT"
 LIMIT = "LIMIT"
+UNKNOWN = "UNKNOWN"
 
 DECIDED_SAT = "decided_SAT"
 DECIDED_UNSAT = "decided_UNSAT"
 UNDECIDED = "undecided"
+
+# branch tiers: decided by the unit-propagation probe, or by CDCL search
+UP_DECIDED = "up_decided"
+CDCL = "cdcl"
 
 PROPAGATIONS = "propagations"
 CONFLICTS = "conflicts"
@@ -113,8 +118,27 @@ class PropagateResult:
     assignment: Assignment = field(default_factory=dict)
 
 
-def workload(outcome: SolveOutcome, measure: str) -> int | float:
-    """Read the configured workload counter from a solve outcome."""
+@dataclass
+class BranchOutcome:
+    """One branch formula evaluated by `evaluate_branch`.
+
+    tier is UP_DECIDED, CDCL, or UNDECIDED when the probe left the branch
+    open and no search was asked for (verdict UNKNOWN then). model is the
+    residual's model on SAT: the probe's partial assignment on the
+    UP_DECIDED tier, a total one on the CDCL tier.
+    """
+
+    tier: str
+    verdict: str
+    propagations: int
+    conflicts: int
+    elapsed: float
+    model: Assignment | None = None
+    proof: DratProof | None = None
+
+
+def workload(outcome: SolveOutcome | BranchOutcome, measure: str) -> int | float:
+    """Read the configured workload counter from a solve or branch outcome."""
     if measure == PROPAGATIONS:
         return outcome.propagations
     if measure == CONFLICTS:
@@ -435,6 +459,60 @@ def solve(
         elapsed=elapsed,
         model=model,
         proof=proof,
+    )
+
+
+def evaluate_branch(
+    formula: CnfFormula,
+    beta: Assignment,
+    cfg: SolverConfig | None = None,
+    *,
+    up_first: bool = True,
+    search: bool = True,
+) -> BranchOutcome:
+    """Evaluate the branch formula substitute(formula, beta) on one engine.
+
+    With up_first, root propagation classifies the branch first: a conflict
+    or a satisfied closure decides it on the UP_DECIDED tier with zero
+    conflicts. An undecided branch goes on into CDCL search on the same
+    engine (or stops with tier UNDECIDED when search is False). Without
+    up_first the branch is simply solved. Either way the verdicts, models,
+    proofs and counters equal those of propagate_only(residual) followed by
+    solve(residual, cfg=cfg), or of solve(residual, cfg=cfg) alone.
+    """
+    if not (up_first or search):
+        raise ValueError("a branch evaluation needs the probe or the search")
+    if cfg is None:
+        cfg = SolverConfig()
+    residual = substitute(formula, beta)
+    t0 = time.perf_counter()
+    eng = _Engine(residual, cfg)
+    assigns = eng.assigns
+    tier = CDCL
+    if not eng.preload({}):
+        verdict = UNSAT
+        if eng.proof is not None:
+            eng.proof.append(("add", ()))
+        if up_first:
+            tier = UP_DECIDED
+    elif up_first and eng.all_clauses_satisfied():
+        model = {v: assigns[v] for v in range(1, eng.nv + 1) if assigns[v] != _UNSET}
+        elapsed = time.perf_counter() - t0
+        return BranchOutcome(UP_DECIDED, SAT, eng.propagations, 0, elapsed, model)
+    elif not search:
+        elapsed = time.perf_counter() - t0
+        return BranchOutcome(UNDECIDED, UNKNOWN, eng.propagations, 0, elapsed)
+    else:
+        verdict = eng.search(cfg.conflict_limit)
+    elapsed = time.perf_counter() - t0
+    model = None
+    if verdict == SAT:
+        model = {v: assigns[v] for v in range(1, eng.nv + 1)}
+    proof = None
+    if verdict == UNSAT and eng.proof is not None:
+        proof = DratProof(tuple(eng.proof))
+    return BranchOutcome(
+        tier, verdict, eng.propagations, eng.conflicts, elapsed, model, proof
     )
 
 

@@ -227,6 +227,12 @@ class TestSolve:
 
 
 class TestProveAndCheck:
+    @pytest.mark.parametrize("flag", ["--workers", "--seed"])
+    def test_check_takes_no_workers_or_seed(self, capsys, flag):
+        code, _, err = run_cli(capsys, "check", "bundle", flag, "2")
+        assert code == EXIT_ERROR
+        assert flag in err
+
     def test_round_trip(self, capsys, php43_path, tmp_path):
         bundle = tmp_path / "bundle"
         code, out, _ = run_cli(

@@ -15,9 +15,9 @@ from satdecomp.decompose import (
 )
 from satdecomp.estimator import DecompositionSet, exact_d_hardness
 from satdecomp.formula import CnfFormula, evaluate, substitute
-from satdecomp.instances import pigeonhole, xor_ring
+from satdecomp.instances import pigeonhole, random_cnf, xor_ring
 from satdecomp.search import reduce_search_space
-from satdecomp.solver import SAT, UNSAT, propagate_only, solve
+from satdecomp.solver import LIMIT, SAT, UNKNOWN, UNSAT, SolverConfig, propagate_only, solve
 
 from oracles import all_branches, truth_table_verdict
 
@@ -76,6 +76,23 @@ class TestSingleBackdoor:
         assert a.verdict == b.verdict
         assert a.propagations == b.propagations
         assert [x.beta_bits for x in a.branches] == [x.beta_bits for x in b.branches]
+
+    def test_conflict_limit_gives_unknown_not_unsat(self):
+        # satisfiable, yet both branches give up after one conflict
+        f = random_cnf(40, 165, 3, seed=0)
+        assert solve(f).verdict == SAT
+        r = solve_with_backdoor(f, dset([1], 40), SolverConfig(conflict_limit=1))
+        assert [b.verdict for b in r.branches] == [LIMIT, LIMIT]
+        assert r.verdict == UNKNOWN
+        assert r.witness is None
+
+    def test_multi_set_conflict_limit_gives_unknown(self):
+        f = random_cnf(40, 165, 3, seed=0)
+        r = solve_with_backdoors(
+            f, [dset([1], 40), dset([2], 40)], SolverConfig(conflict_limit=1)
+        )
+        assert any(b.verdict == LIMIT for b in r.branches)
+        assert r.verdict == UNKNOWN
 
 
 class TestMultiBackdoor:

@@ -20,7 +20,8 @@ from satdecomp.estimator import (
     sample_assignments,
 )
 from satdecomp.formula import CnfFormula
-from satdecomp.instances import complete_contradiction, pigeonhole
+from satdecomp.instances import complete_contradiction, pigeonhole, sgen_style
+import satdecomp.solver
 from satdecomp.solver import solve
 
 import conftest
@@ -198,6 +199,28 @@ class TestEstimate:
         cfg = EstimatorConfig(initial_n=4096, enumeration_cap=1024)
         with pytest.raises(ValueError):
             estimate_d_hardness(f, B, cfg)
+
+    def test_exhaustive_switch_evaluates_each_branch_once(self, monkeypatch):
+        # rounds of 300 and 600 draws, then 2^10 <= 1200 switches to
+        # enumeration: the sampled branches are reused, none is solved twice
+        f = sgen_style(6)
+        B = DecompositionSet.from_vars(range(1, 11), f.num_vars)
+        cfg = EstimatorConfig(initial_n=300, max_n=4096, epsilon=0.02, delta=0.05)
+        exact = exact_d_hardness(f, B)
+        calls = []
+        real = satdecomp.solver.substitute
+
+        def counting(formula, beta):
+            calls.append(tuple(sorted(beta.items())))
+            return real(formula, beta)
+
+        monkeypatch.setattr(satdecomp.solver, "substitute", counting)
+        for estimate in (estimate_d_hardness, estimate_d_hardness_with_up_preprocessing):
+            calls.clear()
+            est = estimate(f, B, cfg)
+            assert est.exhaustive and est.converged
+            assert est.value == exact
+            assert len(calls) == len(set(calls)) == 1024
 
     def test_backdoor_var_out_of_formula_rejected(self):
         f = CnfFormula(2, ((1, 2),))

@@ -209,3 +209,33 @@ def test_substitution_composes_on_disjoint_domains(fa, rng):
     twice = substitute(substitute(f, b1), b2)
     assert clause_set(twice) == clause_set(once)
     assert twice.num_vars == once.num_vars
+
+
+def _reference_substitute(f, beta):
+    """Clause by clause, literal by literal: the exact clause and literal
+    order the solver's counters depend on."""
+    out = []
+    keys = set()
+    for cl in f.clauses:
+        kept = []
+        for lit in cl:
+            val = beta.get(abs(lit))
+            if val is None:
+                kept.append(lit)
+            elif (lit > 0) == (val == 1):
+                break
+        else:
+            if not kept:
+                return ((),)
+            if tuple(sorted(kept)) not in keys:
+                keys.add(tuple(sorted(kept)))
+                out.append(tuple(kept))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_and_assignment())
+def test_substitution_matches_reference_loop(fa):
+    f, beta = fa
+    r = substitute(f, beta)
+    assert r.clauses == _reference_substitute(f, beta)
