@@ -76,13 +76,6 @@ def _read_formula(path: str) -> CnfFormula:
         raise CliError(f"{path}: {exc}")
 
 
-def _backdoor(formula: CnfFormula, variables) -> DecompositionSet:
-    try:
-        return DecompositionSet.from_vars(variables, formula.num_vars)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
 def _vars_text(B: DecompositionSet) -> str:
     return " ".join(str(v) for v in B.members)
 
@@ -93,48 +86,46 @@ def _witness_text(witness) -> str:
     )
 
 
+def _sat_report(command: str, args, witness) -> int:
+    _emit(
+        [
+            ("command", command),
+            ("formula", args.cnf),
+            ("sat", True),
+            ("witness", _witness_text(witness)),
+        ]
+    )
+    return EXIT_SAT
+
+
 def _est_config(args, b_size: int | None = None) -> EstimatorConfig:
     initial_n = args.sample_size
     max_n = args.max_sample_size
     if getattr(args, "exhaustive", False) and b_size is not None:
         initial_n = max(2, 1 << b_size)
         max_n = max(max_n, initial_n)
-    try:
-        return EstimatorConfig(
-            epsilon=args.epsilon,
-            delta=args.delta,
-            initial_n=initial_n,
-            max_n=max_n,
-            seed=args.seed,
-            measure=_MEASURES[args.measure],
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return EstimatorConfig(
+        epsilon=args.epsilon,
+        delta=args.delta,
+        initial_n=initial_n,
+        max_n=max_n,
+        seed=args.seed,
+        measure=_MEASURES[args.measure],
+        workers=args.workers,
+    )
 
 
 def cmd_estimate(args) -> int:
     formula = _read_formula(args.cnf)
-    B = _backdoor(formula, args.backdoor)
+    B = DecompositionSet.from_vars(args.backdoor, formula.num_vars)
     cfg = _est_config(args, b_size=len(B))
     t0 = time.perf_counter()
-    try:
-        if args.no_up:
-            est = estimate_d_hardness(formula, B, cfg)
-        else:
-            est = estimate_d_hardness_with_up_preprocessing(formula, B, cfg)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if args.no_up:
+        est = estimate_d_hardness(formula, B, cfg)
+    else:
+        est = estimate_d_hardness_with_up_preprocessing(formula, B, cfg)
     if est.sat_found:
-        _emit(
-            [
-                ("command", "estimate"),
-                ("formula", args.cnf),
-                ("sat", True),
-                ("witness", _witness_text(est.witness)),
-            ]
-        )
-        return EXIT_SAT
+        return _sat_report("estimate", args, est.witness)
     rho = estimate_rho(
         formula, B, n=cfg.initial_n, seed=args.seed, workers=args.workers
     )
@@ -175,19 +166,16 @@ def cmd_find_backdoor(args) -> int:
     if args.time_limit_s is None and args.generations is None:
         raise CliError("set --time-limit-s or --generations")
     est_cfg = _est_config(args)
-    try:
-        ga_cfg = GaConfig(
-            population=args.elite + args.crossover + args.mutation,
-            elites=args.elite,
-            crossover=args.crossover,
-            mutation=args.mutation,
-            init_size=args.init_size,
-            time_limit_s=args.time_limit_s,
-            generations=args.generations,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    ga_cfg = GaConfig(
+        population=args.elite + args.crossover + args.mutation,
+        elites=args.elite,
+        crossover=args.crossover,
+        mutation=args.mutation,
+        init_size=args.init_size,
+        time_limit_s=args.time_limit_s,
+        generations=args.generations,
+        seed=args.seed,
+    )
     t0 = time.perf_counter()
     space = reduce_search_space(formula, m=args.b0_size, workers=args.workers)
     try:
@@ -195,15 +183,7 @@ def cmd_find_backdoor(args) -> int:
             formula, space, ga_cfg, est_cfg, use_up=not args.no_up
         )
     except SatDiscovered as exc:
-        _emit(
-            [
-                ("command", "find_backdoor"),
-                ("formula", args.cnf),
-                ("sat", True),
-                ("witness", _witness_text(exc.witness)),
-            ]
-        )
-        return EXIT_SAT
+        return _sat_report("find_backdoor", args, exc.witness)
     if args.out:
         write_history_csv(result.history, args.out)
     best = result.best
@@ -241,19 +221,14 @@ def cmd_solve(args) -> int:
     formula = _read_formula(args.cnf)
     if not args.backdoor:
         raise CliError("at least one --backdoor is required")
-    backdoors = [_backdoor(formula, vs) for vs in args.backdoor]
+    backdoors = [
+        DecompositionSet.from_vars(vs, formula.num_vars) for vs in args.backdoor
+    ]
     t0 = time.perf_counter()
-    try:
-        if len(backdoors) == 1:
-            result = solve_with_backdoor(
-                formula, backdoors[0], workers=args.workers
-            )
-        else:
-            result = solve_with_backdoors(
-                formula, backdoors, workers=args.workers
-            )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if len(backdoors) == 1:
+        result = solve_with_backdoor(formula, backdoors[0], workers=args.workers)
+    else:
+        result = solve_with_backdoors(formula, backdoors, workers=args.workers)
     if args.out:
         write_branch_ledger(result, args.out)
     pairs = [
@@ -285,7 +260,7 @@ def cmd_solve(args) -> int:
 
 def cmd_prove(args) -> int:
     formula = _read_formula(args.cnf)
-    B = _backdoor(formula, args.backdoor)
+    B = DecompositionSet.from_vars(args.backdoor, formula.num_vars)
     t0 = time.perf_counter()
     try:
         bundle = generate_proof_bundle(
@@ -296,17 +271,7 @@ def cmd_prove(args) -> int:
             workers=args.workers,
         )
     except SatDiscovered as exc:
-        _emit(
-            [
-                ("command", "prove"),
-                ("formula", args.cnf),
-                ("sat", True),
-                ("witness", _witness_text(exc.witness)),
-            ]
-        )
-        return EXIT_SAT
-    except (ValueError, OSError) as exc:
-        raise CliError(str(exc))
+        return _sat_report("prove", args, exc.witness)
     _emit(
         [
             ("command", "prove"),
@@ -436,10 +401,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (CnfError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -118,7 +118,7 @@ def _branch_result(
     )
 
 
-def _finish(formula, branches, witness, vacuous=0, hard_sets=()):
+def _finish(branches, witness, vacuous=0, hard_sets=()):
     if witness is not None:
         verdict = SAT
     elif any(b.verdict == LIMIT for b in branches):
@@ -167,8 +167,8 @@ def solve_with_backdoor(
         branches.append(br)
         if br.verdict == SAT:
             witness = _total_witness(formula.num_vars, br.model or {}, br.beta)
-            return _finish(formula, branches, witness)
-    return _finish(formula, branches, None)
+            return _finish(branches, witness)
+    return _finish(branches, None)
 
 
 def solve_with_backdoors(
@@ -209,7 +209,7 @@ def solve_with_backdoors(
             branches.append(_branch_result(bid, branch_bits(B, beta), beta, out))
             if out.verdict == SAT:
                 witness = _total_witness(formula.num_vars, out.model, beta)
-                return _finish(formula, branches, witness, hard_sets=hard_sets)
+                return _finish(branches, witness, hard_sets=hard_sets)
         hard_sets.append(HardSet(B, tuple(hard)))
 
     product_total = 1
@@ -246,10 +246,8 @@ def solve_with_backdoors(
         branches.append(br)
         if br.verdict == SAT:
             witness = _total_witness(formula.num_vars, br.model or {}, br.beta)
-            return _finish(
-                formula, branches, witness, vacuous=vacuous, hard_sets=hard_sets
-            )
-    return _finish(formula, branches, None, vacuous=vacuous, hard_sets=hard_sets)
+            return _finish(branches, witness, vacuous=vacuous, hard_sets=hard_sets)
+    return _finish(branches, None, vacuous=vacuous, hard_sets=hard_sets)
 
 
 def simulate_parallel(branch_costs, workers: int) -> float:

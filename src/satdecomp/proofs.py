@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterator
 
 from .estimator import DecompositionSet, branch_assignment, branch_bits
 from .formula import Assignment, CnfFormula, parse_dimacs, substitute, write_dimacs
@@ -126,6 +127,46 @@ def _branch_formula(
     return CnfFormula(formula.num_vars, tuple(units) + residual.clauses)
 
 
+def _layout(
+    base: CnfFormula, B: DecompositionSet, k_groups: int,
+    easy: list[Assignment], hard: list[Assignment],
+) -> Iterator[tuple[ManifestUnit, CnfFormula, str]]:
+    """The bundle's units in manifest order: row, derived formula, file text.
+
+    The one statement of the layout, for the writer and the checker alike.
+    Hard branches come first, each file the branch as unit clauses and then
+    its residual. The easy branches are dealt round-robin into k_groups cube
+    groups, empty groups skipped, each file listing its cubes as comments
+    before the encoded formula. Lazy, so no caller holds every text at once.
+    """
+    for beta in hard:
+        bits = branch_bits(B, beta)
+        derived = _branch_formula(base, B, beta)
+        name = f"branch_{bits}"
+        unit = ManifestUnit(HARD_BRANCH, f"{name}.cnf", f"{name}.drat", bits)
+        yield unit, derived, write_dimacs(derived)
+    for k in range(min(k_groups, len(easy))):
+        cubes = easy[k::k_groups]
+        derived = build_cube_group(base, cubes).encoded
+        comments = "".join(f"c cube {branch_bits(B, cube)}\n" for cube in cubes)
+        unit = ManifestUnit(CUBE_GROUP, f"group_{k}.cnf", f"group_{k}.drat", str(k))
+        yield unit, derived, comments + write_dimacs(derived)
+
+
+def _write(out_dir: str, name: str, text: str) -> None:
+    with open(os.path.join(out_dir, name), "wb") as fh:
+        fh.write(text.encode())
+
+
+def _read(bundle_dir: str, name: str) -> bytes:
+    """A bundle file's bytes; symlinks and non-regular files are refused."""
+    path = os.path.join(bundle_dir, name)
+    if os.path.islink(path) or not os.path.isfile(path):
+        raise OSError(f"{name} is not a regular file")
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def generate_proof_bundle(
     formula: CnfFormula,
     B: DecompositionSet,
@@ -141,6 +182,7 @@ def generate_proof_bundle(
     k_groups cube groups, each proved unsatisfiable as one selector-encoded
     formula. A satisfiable branch aborts the bundle, the first one decided
     by unit propagation taking precedence over those found by search.
+    `workers` widens both the branch evaluation and the group proofs.
     Deterministic file content for a fixed formula and decomposition set.
     """
     if B.num_vars != formula.num_vars:
@@ -155,7 +197,8 @@ def generate_proof_bundle(
     kernel = partial(evaluate_branch, formula, cfg=proof_cfg)
     betas = [branch_assignment(B, idx) for idx in range(count)]
     easy: list[Assignment] = []
-    hard: list[tuple[Assignment, str]] = []  # branch and its proof text
+    hard: list[Assignment] = []
+    hard_proofs: list[str] = []
     solved_sat = None  # first branch that search satisfies
     for beta, out in zip(betas, ordered_map(kernel, betas, workers=workers)):
         if out.tier == UP_DECIDED:
@@ -165,59 +208,38 @@ def generate_proof_bundle(
         elif out.verdict == SAT:
             solved_sat = solved_sat or (out, beta)
         else:
-            hard.append((beta, out.proof.to_text()))
+            hard.append(beta)
+            hard_proofs.append(out.proof.to_text())
     if solved_sat is not None:
         raise _sat_discovered(*solved_sat, B)
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, BASE_NAME), "w") as fh:
-        fh.write(write_dimacs(formula))
-
+    _write(out_dir, BASE_NAME, write_dimacs(formula))
     units: list[ManifestUnit] = []
-    for beta, proof_text in hard:
-        bits = branch_bits(B, beta)
-        cnf_name = f"branch_{bits}.cnf"
-        drat_name = f"branch_{bits}.drat"
-        with open(os.path.join(out_dir, cnf_name), "w") as fh:
-            fh.write(write_dimacs(_branch_formula(formula, B, beta)))
-        with open(os.path.join(out_dir, drat_name), "w") as fh:
-            fh.write(proof_text)
-        units.append(ManifestUnit(HARD_BRANCH, cnf_name, drat_name, bits))
-
-    group_jobs = []
-    group_ids = []
-    for k in range(k_groups):
-        cubes = [easy[i] for i in range(k, len(easy), k_groups)]
-        if not cubes:
-            continue
-        group_jobs.append((formula, tuple(cubes), proof_cfg))
-        group_ids.append(k)
-    for k, (group, out) in zip(
-        group_ids, ordered_map(_prove_group, group_jobs, workers=workers)
-    ):
+    groups: list[tuple[ManifestUnit, CnfFormula]] = []
+    proofs = iter(hard_proofs)
+    for unit, derived, text in _layout(formula, B, k_groups, easy, hard):
+        units.append(unit)
+        _write(out_dir, unit.formula_file, text)
+        if unit.kind == HARD_BRANCH:
+            _write(out_dir, unit.proof_file, next(proofs))
+        else:
+            groups.append((unit, derived))
+    prove = partial(solve, cfg=proof_cfg)
+    encoded = [derived for _, derived in groups]
+    for (unit, _), out in zip(groups, ordered_map(prove, encoded, workers=workers)):
         if out.verdict != UNSAT:
             raise RuntimeError("cube group of refuted branches solved SAT")
-        cnf_name = f"group_{k}.cnf"
-        drat_name = f"group_{k}.drat"
-        with open(os.path.join(out_dir, cnf_name), "w") as fh:
-            for cube in group.cubes:
-                fh.write(f"c cube {branch_bits(B, cube)}\n")
-            fh.write(write_dimacs(group.encoded))
-        with open(os.path.join(out_dir, drat_name), "w") as fh:
-            fh.write(out.proof.to_text())
-        units.append(ManifestUnit(CUBE_GROUP, cnf_name, drat_name, str(k)))
+        _write(out_dir, unit.proof_file, out.proof.to_text())
 
-    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    with open(manifest_path, "w") as fh:
-        fh.write(f"# cnf\t{BASE_NAME}\n")
-        fh.write("# backdoor\t" + " ".join(str(v) for v in B.members) + "\n")
-        fh.write(f"# groups\t{k_groups}\n")
-        for u in units:
-            fh.write(f"{u.kind}\t{u.formula_file}\t{u.proof_file}\t{u.ref}\n")
-
+    members = " ".join(str(v) for v in B.members)
+    manifest = f"# cnf\t{BASE_NAME}\n# backdoor\t{members}\n# groups\t{k_groups}\n"
+    for u in units:
+        manifest += f"{u.kind}\t{u.formula_file}\t{u.proof_file}\t{u.ref}\n"
+    _write(out_dir, MANIFEST_NAME, manifest)
     return ProofBundle(
         directory=out_dir,
-        manifest_path=manifest_path,
+        manifest_path=os.path.join(out_dir, MANIFEST_NAME),
         backdoor=B,
         k_groups=k_groups,
         units=tuple(units),
@@ -232,13 +254,6 @@ def _sat_discovered(
     witness = dict(out.model)
     witness.update(beta)
     return SatDiscovered(witness, mask=B)
-
-
-def _prove_group(args) -> tuple:
-    formula, cubes, cfg = args
-    group = build_cube_group(formula, list(cubes))
-    out = solve(group.encoded, cfg=cfg)
-    return (group, out)
 
 
 @dataclass(frozen=True)
@@ -263,12 +278,14 @@ def _fail(reason: str, units=()) -> BundleCheck:
 def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCheck:
     """Verify a proof bundle from its manifest.
 
-    Re-derives every branch and cube group from the base CNF and the
-    recorded decomposition set, demands the stored formula files match the
-    derivation byte for byte, runs the reverse-unit-propagation check on
-    every proof, and insists the hard branches plus grouped cubes cover
-    each branch assignment exactly once. `formula`, when given, must equal
-    the bundle's base CNF.
+    Re-derives the bundle layout from the base CNF and the recorded
+    decomposition set and holds the bundle to it: the base must be
+    `base.cnf`, each manifest row must name exactly its derived files (so
+    every read stays inside the bundle directory), each stored formula file
+    must equal its derived text byte for byte, and the manifest must list
+    each derived unit exactly once. Every proof is then checked by reverse
+    unit propagation against its derived formula. `formula`, when given,
+    must equal the bundle's base CNF.
     """
     manifest_path = path
     if os.path.isdir(path):
@@ -277,50 +294,45 @@ def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCh
         return _fail(f"manifest not found: {manifest_path}")
     bundle_dir = os.path.dirname(manifest_path) or "."
 
-    base_name = None
-    backdoor_vars: list[int] | None = None
-    k_groups: int | None = None
-    rows: list[tuple[str, str, str, str]] = []
-    with open(manifest_path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].strip().split("\t")
-                if len(parts) != 2:
-                    return _fail(f"malformed manifest header at line {line_no}")
-                key, value = parts
-                if key == "cnf":
-                    base_name = value
-                elif key == "backdoor":
-                    try:
-                        backdoor_vars = [int(t) for t in value.split()]
-                    except ValueError:
-                        return _fail("malformed backdoor header")
-                elif key == "groups":
-                    try:
-                        k_groups = int(value)
-                    except ValueError:
-                        return _fail("malformed groups header")
-                else:
-                    return _fail(f"unknown manifest header key: {key}")
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                return _fail(f"malformed manifest unit at line {line_no}")
-            rows.append(tuple(fields))
-    if base_name is None or backdoor_vars is None or k_groups is None:
+    headers: dict[str, str] = {}
+    rows: dict[tuple[str, str], ManifestUnit] = {}
+    try:
+        with open(manifest_path) as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        return _fail(f"manifest unreadable: {exc}")
+    for line_no, line in enumerate(lines, 1):
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line[1:].strip().split("\t")
+            if len(parts) != 2:
+                return _fail(f"malformed manifest header at line {line_no}")
+            if parts[0] not in ("cnf", "backdoor", "groups"):
+                return _fail(f"unknown manifest header key: {parts[0]}")
+            headers[parts[0]] = parts[1]
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            return _fail(f"malformed manifest unit at line {line_no}")
+        row = ManifestUnit(*fields)
+        if (row.kind, row.ref) in rows:
+            return _fail(f"duplicate unit {row.kind} {row.ref}")
+        rows[row.kind, row.ref] = row
+    if len(headers) != 3:
         return _fail("manifest is missing a header line")
+    if headers["cnf"] != BASE_NAME:
+        return _fail(f"base formula must be {BASE_NAME}, not {headers['cnf']}")
+    try:
+        backdoor_vars = [int(t) for t in headers["backdoor"].split()]
+        k_groups = int(headers["groups"])
+    except ValueError:
+        return _fail("malformed backdoor or groups header")
     if k_groups < 1:
         return _fail("group count must be positive")
 
-    base_path = os.path.join(bundle_dir, base_name)
-    if not os.path.isfile(base_path):
-        return _fail(f"base formula not found: {base_name}")
     try:
-        with open(base_path) as fh:
-            base = parse_dimacs(fh.read())
+        base = parse_dimacs(_read(bundle_dir, BASE_NAME).decode())
     except Exception as exc:
         return _fail(f"base formula unreadable: {exc}")
     if formula is not None and (
@@ -336,105 +348,52 @@ def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCh
         return _fail("backdoor header lists no variables")
 
     easy: list[Assignment] = []
-    expected_hard: dict[str, Assignment] = {}
+    hard: list[Assignment] = []
     for idx in range(1 << len(B)):
         beta = branch_assignment(B, idx)
         probe = evaluate_branch(base, beta, search=False)
         if probe.verdict == SAT:
             return _fail("a branch of the base formula is satisfiable")
-        if probe.tier == UNDECIDED:
-            expected_hard[branch_bits(B, beta)] = beta
-        else:
-            easy.append(beta)
-    expected_groups: dict[str, list[Assignment]] = {}
-    for k in range(k_groups):
-        cubes = [easy[i] for i in range(k, len(easy), k_groups)]
-        if cubes:
-            expected_groups[str(k)] = cubes
+        (hard if probe.tier == UNDECIDED else easy).append(beta)
 
-    seen_hard: set[str] = set()
-    seen_groups: set[str] = set()
-    statuses: list[UnitStatus] = []
-    all_ok = True
-    for kind, cnf_name, drat_name, ref in rows:
-        status = _check_unit(
-            bundle_dir, base, B, kind, cnf_name, drat_name, ref,
-            expected_hard, expected_groups,
-        )
-        statuses.append(status)
-        if not status.ok:
-            all_ok = False
-            continue
-        if kind == HARD_BRANCH:
-            if ref in seen_hard:
-                return _fail(f"duplicate hard branch {ref}", statuses)
-            seen_hard.add(ref)
-        else:
-            if ref in seen_groups:
-                return _fail(f"duplicate cube group {ref}", statuses)
-            seen_groups.add(ref)
-    if not all_ok:
-        return BundleCheck(ok=False, units=tuple(statuses), reason="unit failure")
-    if seen_hard != set(expected_hard):
-        return _fail("hard branches do not cover the undecided assignments",
-                     statuses)
-    if seen_groups != set(expected_groups):
-        return _fail("cube groups do not cover the refuted assignments",
-                     statuses)
-    return BundleCheck(ok=True, units=tuple(statuses))
+    derived_keys: set[tuple[str, str]] = set()
+    checked: dict[tuple[str, str], UnitStatus] = {}
+    for unit, derived, text in _layout(base, B, k_groups, easy, hard):
+        key = (unit.kind, unit.ref)
+        derived_keys.add(key)
+        if key in rows:
+            checked[key] = _check_unit(bundle_dir, rows[key], unit, derived, text)
+    statuses = tuple(
+        checked.get(key) or UnitStatus(*key, False, "not a unit of the derived bundle")
+        for key in rows
+    )
+    if not all(s.ok for s in statuses):
+        return BundleCheck(ok=False, units=statuses, reason="unit failure")
+    if set(rows) != derived_keys:
+        return _fail("manifest units do not cover the decomposition", statuses)
+    return BundleCheck(ok=True, units=statuses)
 
 
 def _check_unit(
-    bundle_dir, base, B, kind, cnf_name, drat_name, ref,
-    expected_hard, expected_groups,
+    bundle_dir: str, row: ManifestUnit, unit: ManifestUnit,
+    derived: CnfFormula, text: str,
 ) -> UnitStatus:
-    cnf_path = os.path.join(bundle_dir, cnf_name)
-    drat_path = os.path.join(bundle_dir, drat_name)
-    if not os.path.isfile(cnf_path):
-        return UnitStatus(kind, ref, False, f"missing formula file {cnf_name}")
-    if not os.path.isfile(drat_path):
-        return UnitStatus(kind, ref, False, f"missing proof file {drat_name}")
-    try:
-        with open(cnf_path) as fh:
-            text = fh.read()
-        stored = parse_dimacs(text)
-    except Exception as exc:
-        return UnitStatus(kind, ref, False, f"unreadable formula: {exc}")
+    def failed(reason: str) -> UnitStatus:
+        return UnitStatus(unit.kind, unit.ref, False, reason)
 
-    if kind == HARD_BRANCH:
-        beta = expected_hard.get(ref)
-        if beta is None:
-            return UnitStatus(kind, ref, False,
-                              "branch is not an undecided branch of the base")
-        expected = _branch_formula(base, B, beta)
-    elif kind == CUBE_GROUP:
-        cubes = expected_groups.get(ref)
-        if cubes is None:
-            return UnitStatus(kind, ref, False, "group id out of range or empty")
-        expected = build_cube_group(base, cubes).encoded
-        comments = [
-            line[len("c cube "):].strip()
-            for line in text.splitlines()
-            if line.startswith("c cube ")
-        ]
-        if comments != [branch_bits(B, c) for c in cubes]:
-            return UnitStatus(kind, ref, False,
-                              "cube comments disagree with the derived group")
-    else:
-        return UnitStatus(kind, ref, False, f"unknown unit kind {kind}")
-
-    if stored.num_vars != expected.num_vars or stored.clauses != expected.clauses:
-        return UnitStatus(kind, ref, False,
-                          "stored formula differs from the derived one")
+    if row != unit:
+        return failed(f"unit files must be {unit.formula_file} and {unit.proof_file}")
     try:
-        with open(drat_path) as fh:
-            proof = DratProof.from_text(fh.read())
-    except Exception as exc:
-        return UnitStatus(kind, ref, False, f"unreadable proof: {exc}")
-    result = check_drat(expected, proof)
+        stored = _read(bundle_dir, unit.formula_file)
+    except OSError as exc:
+        return failed(f"unreadable formula: {exc}")
+    if stored != text.encode():
+        return failed("stored formula differs from the derived one")
+    try:
+        proof = DratProof.from_text(_read(bundle_dir, unit.proof_file).decode())
+    except (OSError, ValueError) as exc:
+        return failed(f"unreadable proof: {exc}")
+    result = check_drat(derived, proof)
     if not result.ok:
-        return UnitStatus(
-            kind, ref, False,
-            f"proof rejected at step {result.failed_step}: {result.reason}",
-        )
-    return UnitStatus(kind, ref, True)
+        return failed(f"proof rejected at step {result.failed_step}: {result.reason}")
+    return UnitStatus(unit.kind, unit.ref, True)

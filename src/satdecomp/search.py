@@ -13,7 +13,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .estimator import (
     DecompositionSet,
@@ -402,12 +401,7 @@ def _write_history(history, fh) -> None:
         )
 
 
-ProbeFn = Callable[[CnfFormula, dict], object]
-
-
-def find_minimum_sbs(
-    formula: CnfFormula, cap: int = 20, probe: ProbeFn = propagate_only
-) -> DecompositionSet | None:
+def find_minimum_sbs(formula: CnfFormula, cap: int = 20) -> DecompositionSet | None:
     """Smallest variable set whose every assignment UP decides the formula.
 
     Enumerates subsets by increasing cardinality, lexicographically within
@@ -421,7 +415,7 @@ def find_minimum_sbs(
         for combo in itertools.combinations(range(1, nv + 1), k):
             B = DecompositionSet.from_vars(combo, nv)
             for idx in range(1 << k):
-                res = probe(formula, branch_assignment(B, idx))
+                res = propagate_only(formula, branch_assignment(B, idx))
                 if res.status == UNDECIDED:
                     break
             else:

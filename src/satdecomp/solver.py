@@ -41,6 +41,8 @@ TIME = "time"
 MEASURES = (PROPAGATIONS, CONFLICTS, TIME)
 
 _UNSET = -1
+_ACTIVITY_DECAY = 0.95
+_RESTART_BASE = 100  # conflicts in the first Luby restart interval
 
 
 @dataclass
@@ -49,19 +51,10 @@ class SolverConfig:
 
     proof_logging: bool = False
     conflict_limit: int | None = None
-    workload_measure: str = PROPAGATIONS
-    activity_decay: float = 0.95
-    restart_base: int = 100
 
     def __post_init__(self) -> None:
-        if self.workload_measure not in MEASURES:
-            raise ValueError(f"unknown workload measure {self.workload_measure!r}")
         if self.conflict_limit is not None and self.conflict_limit < 1:
             raise ValueError("conflict_limit must be positive")
-        if not (0.0 < self.activity_decay <= 1.0):
-            raise ValueError("activity_decay must be in (0, 1]")
-        if self.restart_base < 1:
-            raise ValueError("restart_base must be positive")
 
 
 @dataclass
@@ -178,8 +171,6 @@ class _Engine:
         self.qhead = 0
         self.activity: list[float] = [0.0] * (nv + 1)
         self.var_inc = 1.0
-        self.decay = cfg.activity_decay
-        self.restart_base = cfg.restart_base
         self.propagations = 0
         self.conflicts = 0
         self.proof: list[tuple[str, Clause]] | None = [] if cfg.proof_logging else None
@@ -364,7 +355,7 @@ class _Engine:
                     mi = k
             learnt[1], learnt[mi] = learnt[mi], learnt[1]
             bt = ml
-        self.var_inc /= self.decay
+        self.var_inc /= _ACTIVITY_DECAY
         return learnt, bt
 
     def cancel_until(self, level: int) -> None:
@@ -396,7 +387,7 @@ class _Engine:
 
     def search(self, conflict_limit: int | None) -> str:
         restart_num = 1
-        budget = self.restart_base * _luby(restart_num)
+        budget = _RESTART_BASE * _luby(restart_num)
         since_restart = 0
         while True:
             confl = self.propagate()
@@ -414,7 +405,7 @@ class _Engine:
                 if since_restart >= budget:
                     since_restart = 0
                     restart_num += 1
-                    budget = self.restart_base * _luby(restart_num)
+                    budget = _RESTART_BASE * _luby(restart_num)
                     self.cancel_until(0)
             else:
                 if len(self.trail) == self.nv:

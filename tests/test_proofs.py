@@ -2,8 +2,11 @@ import itertools
 import os
 import random
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satdecomp.estimator import DecompositionSet, branch_assignment
 from satdecomp.formula import CnfFormula, substitute, write_dimacs
@@ -172,6 +175,19 @@ class TestGenerateBundle:
         assert names == sorted(os.listdir(d2))
         for n in names:
             assert (d1 / n).read_bytes() == (d2 / n).read_bytes(), n
+
+    def test_workers_do_not_change_the_bundle(self, tmp_path):
+        f = pigeonhole(4, 3)
+        B = dset([1, 2, 3], 12)
+        d1, d2 = tmp_path / "w1", tmp_path / "w2"
+        generate_proof_bundle(f, B, k_groups=3, out_dir=d1)
+        generate_proof_bundle(f, B, k_groups=3, out_dir=d2, workers=2)
+        names = sorted(os.listdir(d1))
+        assert names == sorted(os.listdir(d2))
+        assert any(n.startswith("group_") for n in names)
+        for n in names:
+            assert (d1 / n).read_bytes() == (d2 / n).read_bytes(), n
+        assert check_proof_bundle(d2).ok
 
     def test_round_trip_on_corpus(self, tmp_path, unsat_fixtures):
         for name, f in unsat_fixtures[:8]:
@@ -352,6 +368,129 @@ class TestMutationDetection:
     def test_checker_requires_manifest(self, tmp_path):
         chk = check_proof_bundle(tmp_path)
         assert not chk.ok
+
+
+class TestHostileBundles:
+    """The checker reads only the derived files inside the bundle directory."""
+
+    @pytest.fixture()
+    def real(self, tmp_path):
+        d = tmp_path / "real"
+        generate_proof_bundle(pigeonhole(4, 3), dset([1, 2, 3, 4], 12), k_groups=2, out_dir=d)
+        return d
+
+    def test_names_escaping_the_bundle_are_rejected(self, tmp_path, real):
+        evil = tmp_path / "evil"
+        evil.mkdir()
+        rows = []
+        for line in (real / MANIFEST_NAME).read_text().splitlines():
+            fields = line.split("\t")
+            if fields[0] == "# cnf":
+                fields[1] = str(real / BASE_NAME)
+            elif not line.startswith("#"):
+                fields[1] = str(real / fields[1])
+                fields[2] = os.path.join("..", "real", fields[2])
+            rows.append("\t".join(fields))
+        (evil / MANIFEST_NAME).write_text("\n".join(rows) + "\n")
+        assert os.listdir(evil) == [MANIFEST_NAME]
+        assert not check_proof_bundle(evil).ok
+        assert not check_proof_bundle(evil, formula=pigeonhole(4, 3)).ok
+
+        # with the base in place, the unit names alone must still be refused
+        shutil.copy(real / BASE_NAME, evil / BASE_NAME)
+        rows[0] = f"# cnf\t{BASE_NAME}"
+        (evil / MANIFEST_NAME).write_text("\n".join(rows) + "\n")
+        chk = check_proof_bundle(evil)
+        assert not chk.ok
+        assert len(chk.units) == 3 and not any(u.ok for u in chk.units)
+
+    def test_symlinked_files_are_rejected(self, tmp_path, real):
+        links = tmp_path / "links"
+        links.mkdir()
+        shutil.copy(real / MANIFEST_NAME, links / MANIFEST_NAME)
+        for name in os.listdir(real):
+            if name != MANIFEST_NAME:
+                os.symlink(real / name, links / name)
+        assert check_proof_bundle(real).ok
+        assert not check_proof_bundle(links).ok
+
+        # with only the units linked, each unit fails on its own
+        os.unlink(links / BASE_NAME)
+        shutil.copy(real / BASE_NAME, links / BASE_NAME)
+        chk = check_proof_bundle(links)
+        assert not chk.ok
+        assert len(chk.units) == 3 and not any(u.ok for u in chk.units)
+        assert all("not a regular file" in u.reason for u in chk.units)
+
+    @pytest.mark.parametrize("name", ["branch_1000.cnf", "group_0.cnf"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("\n", "\nc a comment\n", 1),
+            lambda text: text.replace(" 0\n", "  0\n", 1),
+            lambda text: text + "\n",
+        ],
+        ids=["comment", "double_space", "blank_line"],
+    )
+    def test_unit_formula_must_match_byte_for_byte(self, real, name, edit):
+        path = real / name
+        path.write_text(edit(path.read_text()))
+        chk = check_proof_bundle(real)
+        assert not chk.ok
+        assert [u.ok for u in chk.units].count(False) == 1
+
+
+def _name_spans(manifest: bytes) -> list[tuple[int, int]]:
+    """Byte spans of the two file-name columns of every manifest unit row."""
+    spans, pos = [], 0
+    for line in manifest.split(b"\n"):
+        if line and not line.startswith(b"#"):
+            kind, cnf_name, drat_name, _ = line.split(b"\t")
+            start = pos + len(kind) + 1
+            spans.append((start, start + len(cnf_name)))
+            start += len(cnf_name) + 1
+            spans.append((start, start + len(drat_name)))
+        pos += len(line) + 1
+    return spans
+
+
+@pytest.fixture(scope="module")
+def pristine_bundle(tmp_path_factory):
+    d = tmp_path_factory.mktemp("pristine")
+    generate_proof_bundle(pigeonhole(4, 3), dset([1, 2, 3, 4], 12), k_groups=2, out_dir=d)
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_byte_corruption_is_rejected(pristine_bundle, tmp_path_factory, data):
+    """Change, insert or delete one byte of a unit formula or manifest file name."""
+    units = sorted(
+        n for n in os.listdir(pristine_bundle) if n.endswith(".cnf") and n != BASE_NAME
+    )
+    targets = [(n, 0, (pristine_bundle / n).stat().st_size) for n in units]
+    manifest = (pristine_bundle / MANIFEST_NAME).read_bytes()
+    targets += [(MANIFEST_NAME, lo, hi) for lo, hi in _name_spans(manifest)]
+    name, lo, hi = data.draw(st.sampled_from(targets))
+    body = bytearray((pristine_bundle / name).read_bytes())
+    op = data.draw(st.sampled_from(["change", "insert", "delete"]))
+    if op == "insert":
+        at = data.draw(st.integers(lo, hi))
+        body[at:at] = bytes([data.draw(st.integers(0, 255))])
+    else:
+        at = data.draw(st.integers(lo, hi - 1))
+        if op == "delete":
+            del body[at]
+        else:
+            body[at] = (body[at] + data.draw(st.integers(1, 255))) % 256
+    work = tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())
+    try:
+        shutil.copytree(pristine_bundle, work, dirs_exist_ok=True)
+        with open(os.path.join(work, name), "wb") as fh:
+            fh.write(body)
+        assert not check_proof_bundle(work).ok, (name, op, at)
+    finally:
+        shutil.rmtree(work)
 
 
 class TestSoundnessComposition:
