@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from .estimator import DecompositionSet, branch_assignment, branch_bits
+from .estimator import ENUMERATION_CAP, DecompositionSet, branch_bits, sweep_branches
 from .formula import Assignment, CnfFormula
 from .parallel import ordered_map
 from .solver import (
@@ -143,7 +143,7 @@ def solve_with_backdoor(
     formula: CnfFormula,
     B: DecompositionSet,
     cfg: SolverConfig | None = None,
-    cap: int = 1 << 20,
+    cap: int = ENUMERATION_CAP,
     workers: int = 1,
 ) -> DecomposedVerdict:
     """Decide a formula by solving every branch of one decomposition set.
@@ -154,15 +154,8 @@ def solve_with_backdoor(
     verdict UNKNOWN unless some branch is satisfiable. Any other verdict
     matches a direct solve.
     """
-    if B.num_vars != formula.num_vars:
-        raise ValueError("decomposition set and formula disagree on num_vars")
-    count = 1 << len(B)
-    if count > cap:
-        raise ValueError(f"2^|B| = {count} exceeds the enumeration cap {cap}")
-    betas = [branch_assignment(B, idx) for idx in range(count)]
-    kernel = partial(evaluate_branch, formula, cfg=cfg)
     branches: list[BranchResult] = []
-    for beta, out in zip(betas, ordered_map(kernel, betas, workers=workers)):
+    for beta, out in sweep_branches(formula, B, cfg, workers=workers, cap=cap):
         br = _branch_result(0, branch_bits(B, beta), beta, out)
         branches.append(br)
         if br.verdict == SAT:
@@ -175,7 +168,7 @@ def solve_with_backdoors(
     formula: CnfFormula,
     backdoors: list[DecompositionSet] | tuple[DecompositionSet, ...],
     cfg: SolverConfig | None = None,
-    cap: int = 1 << 20,
+    cap: int = ENUMERATION_CAP,
     workers: int = 1,
 ) -> DecomposedVerdict:
     """Decide a formula through several decomposition sets at once.
@@ -190,19 +183,17 @@ def solve_with_backdoors(
     """
     if not backdoors:
         raise ValueError("need at least one decomposition set")
-    for B in backdoors:
-        if B.num_vars != formula.num_vars:
-            raise ValueError("decomposition set and formula disagree on num_vars")
-        if (1 << len(B)) > cap:
-            raise ValueError(f"2^|B| exceeds the enumeration cap {cap}")
+    # every set is checked before any is probed
+    sweeps = [
+        sweep_branches(formula, B, search=False, workers=workers, cap=cap)
+        for B in backdoors
+    ]
 
     branches: list[BranchResult] = []
     hard_sets: list[HardSet] = []
-    probe = partial(evaluate_branch, formula, search=False)
-    for bid, B in enumerate(backdoors):
+    for bid, (B, sweep) in enumerate(zip(backdoors, sweeps)):
         hard: list[Assignment] = []
-        betas = [branch_assignment(B, idx) for idx in range(1 << len(B))]
-        for beta, out in zip(betas, ordered_map(probe, betas, workers=workers)):
+        for beta, out in sweep:
             if out.tier == UNDECIDED:
                 hard.append(beta)
                 continue
@@ -226,20 +217,11 @@ def solve_with_backdoors(
     vacuous = 0
     gammas = []
     for parts in itertools.product(*(hs.hard for hs in hard_sets)):
-        gamma: Assignment = {}
-        conflict = False
-        for part in parts:
-            for v, val in part.items():
-                if v in gamma and bool(gamma[v]) != bool(val):
-                    conflict = True
-                    break
-                gamma[v] = val
-            if conflict:
-                break
-        if conflict:
-            vacuous += 1
-            continue
-        gammas.append(gamma)
+        gamma = {v: val for part in parts for v, val in part.items()}
+        if any(gamma[v] != val for part in parts for v, val in part.items()):
+            vacuous += 1  # overlapping parts disagree: no assignment is covered
+        else:
+            gammas.append(gamma)
     solve_branch = partial(evaluate_branch, formula, cfg=cfg, up_first=False)
     for gamma, out in zip(gammas, ordered_map(solve_branch, gammas, workers=workers)):
         br = _branch_result(-1, branch_bits(union_set, gamma), gamma, out)
@@ -263,11 +245,6 @@ def simulate_parallel(branch_costs, workers: int) -> float:
         raise ValueError("costs must be nonnegative")
     if not costs:
         return 0.0
-    if workers == 1:
-        acc = 0.0
-        for c in costs:
-            acc += c
-        return acc
     free = [(0.0, i) for i in range(workers)]
     heapq.heapify(free)
     makespan = 0.0

@@ -9,7 +9,8 @@ Chebyshev-derived sample-size condition certifies the requested relative
 accuracy epsilon at confidence 1 - delta.
 
 Estimates are carried as (mean, |B|) with a log2 view, so comparisons stay
-meaningful when 2^|B| overflows double precision.
+meaningful when 2^|B| overflows double precision: the value then saturates
+to infinity while the log2 view stays exact.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import random
 import statistics
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import Iterator
 
 from . import parallel
 from .formula import Assignment, CnfFormula
@@ -28,10 +30,13 @@ from .solver import (
     SAT,
     UNDECIDED,
     UP_DECIDED,
+    BranchOutcome,
+    SolverConfig,
     evaluate_branch,
-    solve,
     workload,
 )
+
+ENUMERATION_CAP = 1 << 20  # most branches any walk over a whole set visits
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class EstimatorConfig:
     max_n: int = 100_000
     seed: int = 0
     measure: str = PROPAGATIONS
-    enumeration_cap: int = 1 << 20
+    enumeration_cap: int = ENUMERATION_CAP
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -157,6 +162,32 @@ def branch_assignment(B: DecompositionSet, index: int) -> Assignment:
     return {v: (index >> (m - 1 - i)) & 1 for i, v in enumerate(members)}
 
 
+def _branch_at(formula, B, index, **kwargs):
+    beta = branch_assignment(B, index)
+    return beta, evaluate_branch(formula, beta, **kwargs)
+
+
+def sweep_branches(
+    formula: CnfFormula, B: DecompositionSet, cfg: SolverConfig | None = None, *,
+    up_first: bool = True, search: bool = True, workers: int = 1,
+    cap: int = ENUMERATION_CAP,
+) -> Iterator[tuple[Assignment, BranchOutcome]]:
+    """Evaluate every branch of B: (beta, outcome) pairs in lexicographic order.
+
+    The one walk over a whole decomposition set. Its checks run at call time,
+    before any branch: B and the formula agree on num_vars, and 2^|B| is at
+    most cap. At one worker the branches are built and evaluated lazily, so
+    a caller may stop early.
+    """
+    if B.num_vars != formula.num_vars:
+        raise ValueError("decomposition set and formula disagree on num_vars")
+    count = 1 << len(B)
+    if count > cap:
+        raise ValueError(f"2^|B| = {count} exceeds the enumeration cap {cap}")
+    run = partial(_branch_at, formula, B, cfg=cfg, up_first=up_first, search=search)
+    return parallel.ordered_map(run, range(count), workers)
+
+
 def branch_bits(B: DecompositionSet, beta: Assignment) -> str:
     return "".join(str(beta[v]) for v in B.members)
 
@@ -187,7 +218,7 @@ def sample_assignments(B: DecompositionSet, n: int, seed: int) -> SampleDraw:
     if n < 1:
         raise ValueError("n must be positive")
     m = len(B)
-    if m <= 60 and (1 << m) <= n:
+    if (1 << m) <= n:
         full = [branch_assignment(B, i) for i in range(1 << m)]
         return SampleDraw(tuple(full), True)
     drawn = _BetaStream(B, seed).prefix(n)
@@ -229,7 +260,10 @@ def compute_stats(observations) -> SampleStats:
 
 
 def _estimate_fields(stats: SampleStats, b_size: int) -> tuple[float, float]:
-    value = math.ldexp(stats.mean, b_size)
+    try:
+        value = math.ldexp(stats.mean, b_size)
+    except OverflowError:
+        value = math.inf
     log2_value = math.log2(stats.mean) + b_size if stats.mean > 0 else -math.inf
     return value, log2_value
 
@@ -251,10 +285,9 @@ class _Branches:
         self.seen: dict[int, tuple[int | float, bool]] = {}  # index -> (cost, easy)
         self.witness: Assignment | None = None
 
-    def evaluate(self, indices) -> bool:
+    def evaluate(self, indices) -> None:
         """Evaluate the unseen branches among indices, in order of first
-        appearance. Stops at a satisfiable branch, keeping its witness, and
-        returns False then."""
+        appearance. Stops at a satisfiable branch, keeping its witness."""
         todo = [i for i in dict.fromkeys(indices) if i not in self.seen]
         betas = [branch_assignment(self.B, i) for i in todo]
         outcomes = parallel.ordered_map(self.kernel, betas, self.workers)
@@ -262,9 +295,8 @@ class _Branches:
             if out.verdict == SAT:
                 self.witness = dict(out.model)
                 self.witness.update(beta)
-                return False
+                return
             self.seen[i] = (workload(out, self.measure), out.tier == UP_DECIDED)
-        return True
 
     def observed(self, indices) -> tuple[list, int]:
         """Costs and easy count of indices up to the first unevaluated one."""
@@ -291,67 +323,49 @@ def _estimate(
 ) -> DHardnessEstimate:
     _validate_b(formula, B)
     b = len(B)
-    full = (1 << b) if b <= 60 else None
+    full = 1 << b
     branches = _Branches(formula, B, cfg, use_up)
 
-    def finish(stats, easy, converged, exhaustive):
-        value, log2_value = _estimate_fields(stats, b)
-        return DHardnessEstimate(
-            stats=stats,
-            b_size=b,
-            value=value,
-            log2_value=log2_value,
-            converged=converged,
-            exhaustive=exhaustive,
-            sat_found=False,
-            easy_count=easy if use_up else None,
-        )
-
-    def sat_estimate(indices):
+    def estimate(indices, exhaustive=False):
+        """The estimate over the observed prefix of indices; a satisfiable
+        branch makes it neither converged nor exhaustive."""
         observations, easy = branches.observed(indices)
         stats = (
             compute_stats(observations) if observations else SampleStats(0, 0.0, 0.0)
         )
-        value, log2_value = _estimate_fields(stats, b) if stats.n else (0.0, -math.inf)
+        sat = branches.witness is not None
+        exhaustive = exhaustive and not sat
+        # a zero mean needs a sample of 1, so it counts as converged
+        converged = not sat and (
+            exhaustive
+            or stats.n >= required_sample_size(stats, cfg.epsilon, cfg.delta)
+        )
         return DHardnessEstimate(
-            stats=stats,
-            b_size=b,
-            value=value,
-            log2_value=log2_value,
-            converged=False,
-            exhaustive=False,
-            sat_found=True,
-            witness=branches.witness,
-            easy_count=easy if use_up else None,
+            stats, b, *_estimate_fields(stats, b),
+            converged=converged, exhaustive=exhaustive, sat_found=sat,
+            witness=branches.witness, easy_count=easy if use_up else None,
         )
 
     def run_exhaustive():
         if full > cfg.enumeration_cap:
             raise ValueError("2^|B| exceeds the enumeration cap")
         every = range(full)
-        if not branches.evaluate(every):
-            return sat_estimate(every)
-        observations, easy = branches.observed(every)
-        return finish(compute_stats(observations), easy, True, True)
+        branches.evaluate(every)
+        return estimate(every, exhaustive=True)
 
-    if full is not None and full <= cfg.initial_n:
+    if full <= cfg.initial_n:
         return run_exhaustive()
 
     stream = _BetaStream(B, cfg.seed)
     target = cfg.initial_n
     while True:
         drawn = stream.prefix(target)
-        if not branches.evaluate(drawn):
-            return sat_estimate(drawn)
-        observations, easy = branches.observed(drawn)
-        stats = compute_stats(observations)
-        # a zero mean needs a sample of 1, so it counts as converged
-        if stats.n >= required_sample_size(stats, cfg.epsilon, cfg.delta):
-            return finish(stats, easy, True, False)
-        if stats.n >= cfg.max_n:
-            return finish(stats, easy, False, False)
-        target = min(2 * stats.n, cfg.max_n)
-        if full is not None and full <= target:
+        branches.evaluate(drawn)
+        est = estimate(drawn)
+        if est.sat_found or est.converged or est.stats.n >= cfg.max_n:
+            return est
+        target = min(2 * est.stats.n, cfg.max_n)
+        if full <= target:
             return run_exhaustive()
 
 
@@ -407,7 +421,6 @@ def exact_d_hardness(
     formula: CnfFormula,
     B: DecompositionSet,
     measure: str = PROPAGATIONS,
-    cap: int = 1 << 20,
     workers: int = 1,
 ) -> int | float:
     """Brute-force d-hardness: total workload over all 2^|B| branches.
@@ -416,16 +429,7 @@ def exact_d_hardness(
     formula itself). Integer measures return an exact arbitrary-precision
     integer.
     """
-    if B.num_vars != formula.num_vars:
-        raise ValueError("decomposition set and formula disagree on num_vars")
-    b = len(B)
-    if b > 60 or (1 << b) > cap:
-        raise ValueError("2^|B| exceeds the enumeration cap")
-    if b == 0:
-        return workload(solve(formula), measure)
-    betas = [branch_assignment(B, i) for i in range(1 << b)]
-    solve_branch = partial(evaluate_branch, formula, up_first=False)
     return sum(
         workload(out, measure)
-        for out in parallel.ordered_map(solve_branch, betas, workers)
+        for _, out in sweep_branches(formula, B, up_first=False, workers=workers)
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
 
-from .estimator import DecompositionSet, branch_assignment, branch_bits
+from .estimator import DecompositionSet, branch_bits, sweep_branches
 from .formula import Assignment, CnfFormula, parse_dimacs, substitute, write_dimacs
 from .parallel import ordered_map
 from .search import SatDiscovered
@@ -28,7 +28,6 @@ from .solver import (
     DratProof,
     SolverConfig,
     check_drat,
-    evaluate_branch,
     solve,
 )
 
@@ -172,7 +171,6 @@ def generate_proof_bundle(
     B: DecompositionSet,
     k_groups: int = 20,
     out_dir: str = ".",
-    cap: int = 1 << 20,
     workers: int = 1,
 ) -> ProofBundle:
     """Prove every branch of a decomposition set and write the bundle.
@@ -185,22 +183,14 @@ def generate_proof_bundle(
     `workers` widens both the branch evaluation and the group proofs.
     Deterministic file content for a fixed formula and decomposition set.
     """
-    if B.num_vars != formula.num_vars:
-        raise ValueError("decomposition set and formula disagree on num_vars")
     if k_groups < 1:
         raise ValueError("k_groups must be positive")
-    count = 1 << len(B)
-    if count > cap:
-        raise ValueError(f"2^|B| = {count} exceeds the enumeration cap {cap}")
-
     proof_cfg = SolverConfig(proof_logging=True)
-    kernel = partial(evaluate_branch, formula, cfg=proof_cfg)
-    betas = [branch_assignment(B, idx) for idx in range(count)]
     easy: list[Assignment] = []
     hard: list[Assignment] = []
     hard_proofs: list[str] = []
     solved_sat = None  # first branch that search satisfies
-    for beta, out in zip(betas, ordered_map(kernel, betas, workers=workers)):
+    for beta, out in sweep_branches(formula, B, proof_cfg, workers=workers):
         if out.tier == UP_DECIDED:
             if out.verdict == SAT:
                 raise _sat_discovered(out, beta, B)
@@ -342,6 +332,7 @@ def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCh
 
     try:
         B = DecompositionSet.from_vars(backdoor_vars, base.num_vars)
+        sweep = sweep_branches(base, B, search=False)
     except ValueError as exc:
         return _fail(f"invalid backdoor header: {exc}")
     if len(B) == 0:
@@ -349,9 +340,7 @@ def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCh
 
     easy: list[Assignment] = []
     hard: list[Assignment] = []
-    for idx in range(1 << len(B)):
-        beta = branch_assignment(B, idx)
-        probe = evaluate_branch(base, beta, search=False)
+    for beta, probe in sweep:
         if probe.verdict == SAT:
             return _fail("a branch of the base formula is satisfiable")
         (hard if probe.tier == UNDECIDED else easy).append(beta)

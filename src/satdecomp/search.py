@@ -18,10 +18,10 @@ from .estimator import (
     DecompositionSet,
     DHardnessEstimate,
     EstimatorConfig,
-    branch_assignment,
     estimate_d_hardness,
     estimate_d_hardness_with_up_preprocessing,
     mask_seed,
+    sweep_branches,
 )
 from .formula import CnfFormula
 from .parallel import ordered_map
@@ -414,10 +414,7 @@ def find_minimum_sbs(formula: CnfFormula, cap: int = 20) -> DecompositionSet | N
     for k in range(nv + 1):
         for combo in itertools.combinations(range(1, nv + 1), k):
             B = DecompositionSet.from_vars(combo, nv)
-            for idx in range(1 << k):
-                res = propagate_only(formula, branch_assignment(B, idx))
-                if res.status == UNDECIDED:
-                    break
-            else:
+            probes = sweep_branches(formula, B, search=False)
+            if all(out.tier != UNDECIDED for _, out in probes):
                 return B
     return None

@@ -355,3 +355,28 @@ def test_exhaustive_estimate_equals_exact(data):
         return
     assert est.exhaustive
     assert est.value == exact_d_hardness(f, B)
+
+
+class TestEstimateOverflow:
+    """2^|B| times the mean overflows a double once |B| passes about 1020."""
+
+    @pytest.mark.parametrize(
+        "estimator", [estimate_d_hardness, estimate_d_hardness_with_up_preprocessing]
+    )
+    def test_value_saturates_and_log2_stays_exact(self, estimator):
+        chain = conftest.implication_chain(50)
+        f = CnfFormula(1150, chain.clauses)
+        B = DecompositionSet.from_vars(range(51, 1151), 1150)
+        est = estimator(f, B, EstimatorConfig(initial_n=8, max_n=8))
+        assert not est.sat_found
+        assert est.stats.n == 8 and est.stats.mean > 0
+        assert est.value == math.inf
+        assert est.log2_value == math.log2(est.stats.mean) + 1100
+        assert math.isfinite(est.log2_value)
+
+    def test_value_below_the_limit_is_exact(self):
+        chain = conftest.implication_chain(50)
+        f = CnfFormula(1050, chain.clauses)
+        B = DecompositionSet.from_vars(range(51, 1051), 1050)
+        est = estimate_d_hardness(f, B, EstimatorConfig(initial_n=8, max_n=8))
+        assert est.value == math.ldexp(est.stats.mean, 1000)

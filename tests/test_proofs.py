@@ -2,12 +2,15 @@ import itertools
 import os
 import random
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satdecomp
 from satdecomp.estimator import DecompositionSet, branch_assignment
 from satdecomp.formula import CnfFormula, substitute, write_dimacs
 from satdecomp.instances import complete_contradiction, pigeonhole
@@ -502,3 +505,35 @@ class TestSoundnessComposition:
             generate_proof_bundle(f, B, k_groups=2, out_dir=d)
             assert check_proof_bundle(d, formula=f).ok, name
             assert solve(f).verdict == UNSAT, name
+
+
+def test_over_cap_backdoor_header_is_rejected_quickly(tmp_path):
+    """A manifest may name any set; the checker refuses one over the cap.
+
+    Enumerating 2^40 branches would never finish, so the check runs in a
+    subprocess with a timeout and fails the test instead of hanging it.
+    """
+    generate_proof_bundle(
+        conftest.implication_chain(40), dset([1], 40), k_groups=2, out_dir=tmp_path
+    )
+    manifest = tmp_path / MANIFEST_NAME
+    text = manifest.read_text()
+    members = " ".join(str(v) for v in range(1, 41))
+    assert "# backdoor\t1\n" in text
+    manifest.write_text(text.replace("# backdoor\t1\n", f"# backdoor\t{members}\n"))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(satdecomp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "from satdecomp.proofs import check_proof_bundle\n"
+        "chk = check_proof_bundle(sys.argv[1])\n"
+        "print(chk.ok, chk.reason)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("False invalid backdoor header: ")
+    assert "enumeration cap" in proc.stdout
