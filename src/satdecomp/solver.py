@@ -424,32 +424,11 @@ def solve(
     outcome carries a RUP-checkable proof relative to the formula with the
     assumptions folded in as unit clauses.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     asm = dict(assumptions) if assumptions else {}
     check_assignment(formula, asm)
-    t0 = time.perf_counter()
-    eng = _Engine(formula, cfg)
-    if not eng.preload(asm):
-        verdict = UNSAT
-        if eng.proof is not None:
-            eng.proof.append(("add", ()))
-    else:
-        verdict = eng.search(cfg.conflict_limit)
-    elapsed = time.perf_counter() - t0
-    model = None
-    if verdict == SAT:
-        model = {v: eng.assigns[v] for v in range(1, eng.nv + 1)}
-    proof = None
-    if verdict == UNSAT and eng.proof is not None:
-        proof = DratProof(tuple(eng.proof))
+    out = _run(formula, asm, cfg, up_first=False, search=True)
     return SolveOutcome(
-        verdict=verdict,
-        propagations=eng.propagations,
-        conflicts=eng.conflicts,
-        elapsed=elapsed,
-        model=model,
-        proof=proof,
+        out.verdict, out.propagations, out.conflicts, out.elapsed, out.model, out.proof
     )
 
 
@@ -473,14 +452,25 @@ def evaluate_branch(
     """
     if not (up_first or search):
         raise ValueError("a branch evaluation needs the probe or the search")
+    return _run(substitute(formula, beta), {}, cfg, up_first=up_first, search=search)
+
+
+def _run(
+    formula: CnfFormula,
+    assumptions: Assignment,
+    cfg: SolverConfig | None,
+    *,
+    up_first: bool,
+    search: bool,
+) -> BranchOutcome:
+    """One engine: preload the assumptions, then probe and/or search."""
     if cfg is None:
         cfg = SolverConfig()
-    residual = substitute(formula, beta)
     t0 = time.perf_counter()
-    eng = _Engine(residual, cfg)
+    eng = _Engine(formula, cfg)
     assigns = eng.assigns
     tier = CDCL
-    if not eng.preload({}):
+    if not eng.preload(assumptions):
         verdict = UNSAT
         if eng.proof is not None:
             eng.proof.append(("add", ()))
@@ -541,141 +531,91 @@ class DratCheck:
     reason: str = ""
 
 
-class _RupChecker:
-    """Clause database answering RUP queries, with add/delete support."""
+class _RupChecker(_Engine):
+    """The solver's engine as a clause database answering RUP queries.
 
-    def __init__(self, formula: CnfFormula, extra_vars: int = 0) -> None:
-        nv = formula.num_vars + extra_vars
-        self.nv = nv
-        self.clauses: list[tuple[int, ...]] = []
-        self.active: list[bool] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * nv + 2)]
-        self.unit_ids: list[int] = []
-        self.empty_count = 0
+    The root trail (formula and lemma units and their propagation) is kept
+    between queries; a query opens one decision level on top of it. conflict
+    records that the root itself propagates to a conflict, which makes every
+    clause RUP.
+    """
+
+    def __init__(self, formula: CnfFormula) -> None:
+        super().__init__(formula, SolverConfig())
         self.index: dict[tuple[int, ...], list[int]] = {}
-        self.assigns: list[int] = [_UNSET] * (nv + 1)
-        self.trail: list[int] = []
-        for cl in formula.clauses:
-            self.add(cl)
-
-    def add(self, cl: Clause) -> None:
-        ci = len(self.clauses)
-        lits = tuple(cl)
-        self.clauses.append(lits)
-        self.active.append(True)
-        self.index.setdefault(tuple(sorted(lits)), []).append(ci)
-        if not lits:
-            self.empty_count += 1
-        elif len(lits) == 1:
-            self.unit_ids.append(ci)
-        else:
-            self.watches[_widx(lits[0])].append(ci)
-            self.watches[_widx(lits[1])].append(ci)
-
-    def delete(self, cl: Clause) -> None:
-        key = tuple(sorted(cl))
-        ids = self.index.get(key)
-        if not ids:
-            return  # deleting a clause not in the database is a no-op
-        ci = ids.pop()
-        if not ids:
-            del self.index[key]
-        self.active[ci] = False
-        if not self.clauses[ci]:
-            self.empty_count -= 1
-
-    def _value(self, lit: int) -> int:
-        a = self.assigns[lit if lit > 0 else -lit]
-        if a == _UNSET:
-            return _UNSET
-        return a if lit > 0 else 1 - a
-
-    def _assume(self, lit: int) -> bool:
-        """Assign lit true; returns False on clash with the current state."""
-        val = self._value(lit)
-        if val == 1:
-            return True
-        if val == 0:
-            return False
-        v = lit if lit > 0 else -lit
-        self.assigns[v] = 1 if lit > 0 else 0
-        self.trail.append(lit)
-        return True
-
-    def _rollback(self) -> None:
-        for lit in self.trail:
-            self.assigns[lit if lit > 0 else -lit] = _UNSET
-        self.trail.clear()
+        for ci, cl in enumerate(formula.clauses):
+            self.index.setdefault(tuple(sorted(cl)), []).append(ci)
+        self.conflict = not self.preload({})
 
     def rup(self, cl: Clause) -> bool:
         """True iff propagating the clause's negation yields a conflict."""
-        if self.empty_count > 0:
+        if self.conflict:
             return True
-        conflict = False
-        for ci in self.unit_ids:
-            if self.active[ci] and not self._assume(self.clauses[ci][0]):
-                conflict = True
+        assigns = self.assigns
+        self.trail_lim.append(len(self.trail))
+        clash = False
+        for lit in cl:
+            a = assigns[lit if lit > 0 else -lit]
+            if a == _UNSET:
+                self._enqueue(-lit, None)
+            elif (a == 1) == (lit > 0):
+                clash = True  # lit is already true, so its negation clashes
                 break
-        if not conflict:
-            for lit in cl:
-                if not self._assume(-lit):
-                    conflict = True
-                    break
-        if not conflict:
-            conflict = self._propagate_trail()
-        self._rollback()
+        conflict = clash or self.propagate() != -1
+        self.cancel_until(0)
         return conflict
 
-    def _propagate_trail(self) -> bool:
-        qhead = 0
-        trail = self.trail
-        clauses = self.clauses
-        active = self.active
-        watches = self.watches
-        while qhead < len(trail):
-            p = trail[qhead]
-            qhead += 1
-            wl = watches[_widx(-p)]
-            i = j = 0
-            n = len(wl)
-            conflict = False
-            while i < n:
-                ci = wl[i]
-                i += 1
-                if not active[ci]:
-                    continue  # drop stale watch entries of deleted clauses
-                cl = clauses[ci]
-                if cl[0] == -p:
-                    cl = (cl[1], cl[0]) + cl[2:]
-                    clauses[ci] = cl
-                first = cl[0]
-                if self._value(first) == 1:
-                    wl[j] = ci
-                    j += 1
-                    continue
-                found = False
-                for k in range(2, len(cl)):
-                    if self._value(cl[k]) != 0:
-                        clauses[ci] = (cl[0], cl[k]) + cl[2:k] + (cl[1],) + cl[k + 1:]
-                        watches[_widx(cl[k])].append(ci)
-                        found = True
-                        break
-                if found:
-                    continue
-                wl[j] = ci
-                j += 1
-                if self._value(first) == 0:
-                    conflict = True
-                    while i < n:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    break
-                self._assume(first)
-            del wl[j:]
-            if conflict:
-                return True
-        return False
+    def add(self, cl: Clause) -> None:
+        """Attach a lemma, its non-false literals watched first. When the
+        root makes it unit, its literal joins the root trail."""
+        ci = len(self.clauses)
+        self.index.setdefault(tuple(sorted(cl)), []).append(ci)
+        assigns = self.assigns
+
+        def is_false(lit: int) -> bool:
+            a = assigns[lit if lit > 0 else -lit]
+            return a != _UNSET and (a == 1) != (lit > 0)
+
+        # distinct literals: a repeated one would take both watches
+        lits = sorted(dict.fromkeys(cl), key=is_false)
+        self.clauses.append(lits)
+        if len(lits) == 1:
+            self._init_units.append((lits[0], ci))
+        elif lits:
+            self.watches[_widx(lits[0])].append(ci)
+            self.watches[_widx(lits[1])].append(ci)
+        # unless the root is in conflict, an accepted (RUP) lemma has a
+        # literal that is not false at the root: lits[0]
+        if self.conflict:
+            return
+        if assigns[abs(lits[0])] == _UNSET and (len(lits) == 1 or is_false(lits[1])):
+            self._enqueue(lits[0], ci)
+            self.conflict = self.propagate() != -1
+
+    def delete(self, cl: Clause) -> None:
+        """Remove the last-added clause with these literals; a no-op if none."""
+        key = tuple(sorted(cl))
+        ids = self.index.get(key)
+        if not ids:
+            return
+        ci = ids.pop()
+        if not ids:
+            del self.index[key]
+        lits = self.clauses[ci]
+        if len(lits) == 1:
+            self._init_units.remove((lits[0], ci))
+        elif lits:
+            self.watches[_widx(lits[0])].remove(ci)
+            self.watches[_widx(lits[1])].remove(ci)
+        if self.conflict or any(self.reasons[abs(lit)] == ci for lit in lits):
+            self._reset_root()  # the root trail rested on the clause
+
+    def _reset_root(self) -> None:
+        """Unassign the root trail and propagate the remaining units again."""
+        self.trail_lim.append(0)
+        self.cancel_until(0)
+        self.ok = () not in self.index
+        self.conflict = not self.preload({})
 
 
 def check_drat(formula: CnfFormula, proof: DratProof) -> DratCheck:
@@ -683,15 +623,15 @@ def check_drat(formula: CnfFormula, proof: DratProof) -> DratCheck:
 
     Every added clause must be RUP with respect to the accumulated clause
     set (original clauses plus prior additions minus deletions), and the
-    final step must add the empty clause.
+    final step must add the empty clause. A step naming a variable outside
+    the formula is rejected: without RAT, extension variables add nothing.
     """
-    extra = 0
-    for _, cl in proof.steps:
-        for lit in cl:
-            extra = max(extra, abs(lit) - formula.num_vars)
-    checker = _RupChecker(formula, extra_vars=extra)
+    checker = _RupChecker(formula)
+    nv = formula.num_vars
     steps = proof.steps
     for si, (kind, cl) in enumerate(steps):
+        if any(not 0 < (lit if lit > 0 else -lit) <= nv for lit in cl):
+            return DratCheck(False, si, "clause names a variable outside the formula")
         if kind == "delete":
             checker.delete(cl)
         elif kind == "add":

@@ -107,3 +107,52 @@ def disjoint_union(f1: CnfFormula, f2: CnfFormula) -> CnfFormula:
         f1.num_vars + f2.num_vars,
         f1.clauses + shift_clauses(f2, f1.num_vars),
     )
+
+
+def _unit_propagation_conflicts(clauses, true_lits) -> bool:
+    """Naive unit propagation over clause sets from the given true literals."""
+    true = set(true_lits)
+    if any(-lit in true for lit in true):
+        return True
+    changed = True
+    while changed:
+        changed = False
+        for cl in clauses:
+            if cl & true:
+                continue
+            open_lits = [lit for lit in cl if -lit not in true]
+            if not open_lits:
+                return True
+            if len(open_lits) == 1:
+                true.add(open_lits[0])
+                changed = True
+    return False
+
+
+def naive_check_drat(formula: CnfFormula, steps):
+    """(ok, failed_step) of a RUP proof, by naive propagation at every step.
+
+    The database is a list of (sorted literals, literal set) pairs. A
+    deletion removes one clause with the same sorted literals, if any. A
+    step naming a variable outside 1..num_vars fails; an added clause must
+    be RUP; the empty clause must be added, and only as the last step.
+    """
+    db = [(tuple(sorted(cl)), frozenset(cl)) for cl in formula.clauses]
+    for si, (kind, cl) in enumerate(steps):
+        if any(not 1 <= abs(lit) <= formula.num_vars for lit in cl):
+            return False, si
+        key = tuple(sorted(cl))
+        if kind == "delete":
+            for k in range(len(db) - 1, -1, -1):
+                if db[k][0] == key:
+                    del db[k]
+                    break
+            continue
+        if kind != "add":
+            return False, si
+        if not _unit_propagation_conflicts([s for _, s in db], [-lit for lit in cl]):
+            return False, si
+        if not cl:
+            return (True, None) if si == len(steps) - 1 else (False, si)
+        db.append((key, frozenset(cl)))
+    return False, len(steps) - 1 if steps else None

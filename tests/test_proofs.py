@@ -537,3 +537,36 @@ def test_over_cap_backdoor_header_is_rejected_quickly(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("False invalid backdoor header: ")
     assert "enumeration cap" in proc.stdout
+
+
+def test_out_of_range_proof_variable_is_rejected_in_bounded_memory(tmp_path):
+    """A 13-byte proof line naming variable 10^9 must not size the checker.
+
+    The check runs in a subprocess limited to 1 GiB of address space and
+    20 s, so a checker that allocates per named variable fails the test
+    with a MemoryError instead of exhausting the machine.
+    """
+    generate_proof_bundle(pigeonhole(4, 3), dset([1], 12), k_groups=2, out_dir=tmp_path)
+    drat = tmp_path / "branch_0.drat"
+    drat.write_bytes(b"1000000000 0\n" + drat.read_bytes())
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(satdecomp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from satdecomp.proofs import check_proof_bundle\n"
+        "chk = check_proof_bundle(sys.argv[1])\n"
+        "print(chk.ok, [(u.ref, u.ok, u.reason) for u in chk.units])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("False ")
+    assert (
+        "('0', False, 'proof rejected at step 0: "
+        "clause names a variable outside the formula')" in proc.stdout
+    )
+    assert "('1', True, None)" in proc.stdout
