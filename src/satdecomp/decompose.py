@@ -14,11 +14,15 @@ import csv
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import partial
 
-from .estimator import ENUMERATION_CAP, DecompositionSet, branch_bits, sweep_branches
+from .estimator import (
+    ENUMERATION_CAP,
+    DecompositionSet,
+    branch_bits,
+    map_branches,
+    sweep_branches,
+)
 from .formula import Assignment, CnfFormula
-from .parallel import ordered_map
 from .solver import (
     CDCL,
     LIMIT,
@@ -29,7 +33,6 @@ from .solver import (
     UP_DECIDED,
     BranchOutcome,
     SolverConfig,
-    evaluate_branch,
 )
 
 __all__ = [
@@ -215,15 +218,16 @@ def solve_with_backdoors(
     union_set = DecompositionSet(formula.num_vars, union_mask)
 
     vacuous = 0
-    gammas = []
+    merged = []  # indices of the nonvacuous merged branches over union_set
     for parts in itertools.product(*(hs.hard for hs in hard_sets)):
         gamma = {v: val for part in parts for v, val in part.items()}
         if any(gamma[v] != val for part in parts for v, val in part.items()):
             vacuous += 1  # overlapping parts disagree: no assignment is covered
         else:
-            gammas.append(gamma)
-    solve_branch = partial(evaluate_branch, formula, cfg=cfg, up_first=False)
-    for gamma, out in zip(gammas, ordered_map(solve_branch, gammas, workers=workers)):
+            merged.append(int(branch_bits(union_set, gamma), 2))
+    for gamma, out in map_branches(
+        formula, union_set, merged, cfg, up_first=False, workers=workers
+    ):
         br = _branch_result(-1, branch_bits(union_set, gamma), gamma, out)
         branches.append(br)
         if br.verdict == SAT:

@@ -20,7 +20,7 @@ import random
 import statistics
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import parallel
 from .formula import Assignment, CnfFormula
@@ -140,13 +140,6 @@ class SampleDraw:
     exhaustive: bool
 
 
-def _stream_seed(seed: int, members: tuple[int, ...]) -> int:
-    digest = hashlib.sha256(
-        f"{seed}|{','.join(map(str, members))}".encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def mask_seed(seed: int, mask: int) -> int:
     """Derive a per-mask estimation seed; independent of evaluation order."""
     digest = hashlib.sha256(f"{seed}#{mask:x}".encode()).digest()
@@ -167,6 +160,29 @@ def _branch_at(formula, B, index, **kwargs):
     return beta, evaluate_branch(formula, beta, **kwargs)
 
 
+def map_branches(
+    formula: CnfFormula, B: DecompositionSet, indices: Sequence[int],
+    cfg: SolverConfig | None = None, up_first: bool = True, search: bool = True,
+    workers: int = 1,
+) -> Iterator[tuple[Assignment, BranchOutcome]]:
+    """Evaluate the branches of B at the given indices: (beta, outcome) pairs
+    in the order given.
+
+    The one place a branch is evaluated. B and the formula must agree on
+    num_vars, which is checked at call time, before any branch. At one worker
+    the branches are built and evaluated lazily, so a caller may stop early.
+    """
+    if B.num_vars != formula.num_vars:
+        raise ValueError("decomposition set and formula disagree on num_vars")
+    run = partial(_branch_at, formula, B, cfg=cfg, up_first=up_first, search=search)
+    return parallel.ordered_map(run, indices, workers)
+
+
+def _check_cap(count: int, cap: int) -> None:
+    if count > cap:
+        raise ValueError(f"2^|B| = {count} exceeds the enumeration cap {cap}")
+
+
 def sweep_branches(
     formula: CnfFormula, B: DecompositionSet, cfg: SolverConfig | None = None, *,
     up_first: bool = True, search: bool = True, workers: int = 1,
@@ -174,55 +190,47 @@ def sweep_branches(
 ) -> Iterator[tuple[Assignment, BranchOutcome]]:
     """Evaluate every branch of B: (beta, outcome) pairs in lexicographic order.
 
-    The one walk over a whole decomposition set. Its checks run at call time,
-    before any branch: B and the formula agree on num_vars, and 2^|B| is at
-    most cap. At one worker the branches are built and evaluated lazily, so
-    a caller may stop early.
+    The checked walk over a whole decomposition set: map_branches over all
+    2^|B| indices, refused at call time, before any branch, when 2^|B|
+    exceeds cap.
     """
-    if B.num_vars != formula.num_vars:
-        raise ValueError("decomposition set and formula disagree on num_vars")
     count = 1 << len(B)
-    if count > cap:
-        raise ValueError(f"2^|B| = {count} exceeds the enumeration cap {cap}")
-    run = partial(_branch_at, formula, B, cfg=cfg, up_first=up_first, search=search)
-    return parallel.ordered_map(run, range(count), workers)
+    _check_cap(count, cap)
+    return map_branches(
+        formula, B, range(count), cfg,
+        up_first=up_first, search=search, workers=workers,
+    )
 
 
 def branch_bits(B: DecompositionSet, beta: Assignment) -> str:
     return "".join(str(beta[v]) for v in B.members)
 
 
-class _BetaStream:
-    """Uniform branch indices of B with a seed-stable prefix.
+def _draw(B: DecompositionSet, n: int, seed: int) -> tuple[Sequence[int], bool]:
+    """n uniform branch indices of B, or every index when 2^|B| <= n.
 
-    Draw j is a fixed function of (seed, B, j): one Mersenne Twister stream
-    keyed by SHA-256 of the seed and the member list, consumed in order.
-    Index r stands for branch_assignment(B, r).
+    Returns (indices, exhaustive). Every index comes in lexicographic order
+    when 2^|B| <= n; otherwise draw j is a fixed function of (seed, B, j): one
+    Mersenne Twister stream keyed by SHA-256 of the seed and the member list,
+    so a longer draw extends a shorter one. Index r stands for
+    branch_assignment(B, r).
     """
-
-    def __init__(self, B: DecompositionSet, seed: int) -> None:
-        self._bits = len(B)
-        self._rng = random.Random(_stream_seed(seed, B.members))
-        self._drawn: list[int] = []
-
-    def prefix(self, n: int) -> list[int]:
-        while len(self._drawn) < n:
-            self._drawn.append(self._rng.getrandbits(self._bits))
-        return self._drawn[:n]
-
-
-def sample_assignments(B: DecompositionSet, n: int, seed: int) -> SampleDraw:
-    """Draw n uniform assignments of B; full enumeration when 2^|B| <= n."""
     if len(B) == 0:
         raise ValueError("decomposition set is empty")
     if n < 1:
         raise ValueError("n must be positive")
     m = len(B)
     if (1 << m) <= n:
-        full = [branch_assignment(B, i) for i in range(1 << m)]
-        return SampleDraw(tuple(full), True)
-    drawn = _BetaStream(B, seed).prefix(n)
-    return SampleDraw(tuple(branch_assignment(B, r) for r in drawn), False)
+        return range(1 << m), True
+    digest = hashlib.sha256(f"{seed}|{','.join(map(str, B.members))}".encode()).digest()
+    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    return [rng.getrandbits(m) for _ in range(n)], False
+
+
+def sample_assignments(B: DecompositionSet, n: int, seed: int) -> SampleDraw:
+    """Draw n uniform assignments of B; full enumeration when 2^|B| <= n."""
+    indices, exhaustive = _draw(B, n, seed)
+    return SampleDraw(tuple(branch_assignment(B, i) for i in indices), exhaustive)
 
 
 def required_sample_size(stats: SampleStats, epsilon: float, delta: float) -> int:
@@ -278,10 +286,10 @@ class _Branches:
     def __init__(
         self, formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig, use_up: bool
     ) -> None:
-        self.B = B
+        self.map = partial(
+            map_branches, formula, B, up_first=use_up, workers=cfg.workers
+        )
         self.measure = cfg.measure
-        self.workers = cfg.workers
-        self.kernel = partial(evaluate_branch, formula, up_first=use_up)
         self.seen: dict[int, tuple[int | float, bool]] = {}  # index -> (cost, easy)
         self.witness: Assignment | None = None
 
@@ -289,9 +297,7 @@ class _Branches:
         """Evaluate the unseen branches among indices, in order of first
         appearance. Stops at a satisfiable branch, keeping its witness."""
         todo = [i for i in dict.fromkeys(indices) if i not in self.seen]
-        betas = [branch_assignment(self.B, i) for i in todo]
-        outcomes = parallel.ordered_map(self.kernel, betas, self.workers)
-        for i, beta, out in zip(todo, betas, outcomes):
+        for i, (beta, out) in zip(todo, self.map(todo)):
             if out.verdict == SAT:
                 self.witness = dict(out.model)
                 self.witness.update(beta)
@@ -311,25 +317,20 @@ class _Branches:
         return costs, easy
 
 
-def _validate_b(formula: CnfFormula, B: DecompositionSet) -> None:
-    if B.num_vars != formula.num_vars:
-        raise ValueError("decomposition set and formula disagree on num_vars")
-    if len(B) == 0:
-        raise ValueError("decomposition set is empty")
-
-
 def _estimate(
     formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig, use_up: bool
 ) -> DHardnessEstimate:
-    _validate_b(formula, B)
     b = len(B)
-    full = 1 << b
     branches = _Branches(formula, B, cfg, use_up)
-
-    def estimate(indices, exhaustive=False):
-        """The estimate over the observed prefix of indices; a satisfiable
-        branch makes it neither converged nor exhaustive."""
-        observations, easy = branches.observed(indices)
+    target = cfg.initial_n
+    while True:
+        drawn, exhaustive = _draw(B, target, cfg.seed)
+        if exhaustive:
+            _check_cap(len(drawn), cfg.enumeration_cap)
+        branches.evaluate(drawn)
+        # the estimate over the observed prefix of the draw; a satisfiable
+        # branch makes it neither converged nor exhaustive
+        observations, easy = branches.observed(drawn)
         stats = (
             compute_stats(observations) if observations else SampleStats(0, 0.0, 0.0)
         )
@@ -337,36 +338,15 @@ def _estimate(
         exhaustive = exhaustive and not sat
         # a zero mean needs a sample of 1, so it counts as converged
         converged = not sat and (
-            exhaustive
-            or stats.n >= required_sample_size(stats, cfg.epsilon, cfg.delta)
+            exhaustive or stats.n >= required_sample_size(stats, cfg.epsilon, cfg.delta)
         )
-        return DHardnessEstimate(
-            stats, b, *_estimate_fields(stats, b),
-            converged=converged, exhaustive=exhaustive, sat_found=sat,
-            witness=branches.witness, easy_count=easy if use_up else None,
-        )
-
-    def run_exhaustive():
-        if full > cfg.enumeration_cap:
-            raise ValueError("2^|B| exceeds the enumeration cap")
-        every = range(full)
-        branches.evaluate(every)
-        return estimate(every, exhaustive=True)
-
-    if full <= cfg.initial_n:
-        return run_exhaustive()
-
-    stream = _BetaStream(B, cfg.seed)
-    target = cfg.initial_n
-    while True:
-        drawn = stream.prefix(target)
-        branches.evaluate(drawn)
-        est = estimate(drawn)
-        if est.sat_found or est.converged or est.stats.n >= cfg.max_n:
-            return est
-        target = min(2 * est.stats.n, cfg.max_n)
-        if full <= target:
-            return run_exhaustive()
+        if sat or exhaustive or converged or stats.n >= cfg.max_n:
+            return DHardnessEstimate(
+                stats, b, *_estimate_fields(stats, b),
+                converged=converged, exhaustive=exhaustive, sat_found=sat,
+                witness=branches.witness, easy_count=easy if use_up else None,
+            )
+        target = min(2 * stats.n, cfg.max_n)
 
 
 def estimate_d_hardness(
@@ -405,16 +385,10 @@ def estimate_rho(
     workers: int = 1,
 ) -> RhoEstimate:
     """Fraction of branch formulas decided by unit propagation alone."""
-    _validate_b(formula, B)
-    draw = sample_assignments(B, n, seed)
-    probe = partial(evaluate_branch, formula, search=False)
-    decided = sum(
-        1
-        for out in parallel.ordered_map(probe, draw.assignments, workers)
-        if out.tier != UNDECIDED
-    )
-    total = len(draw.assignments)
-    return RhoEstimate(decided / total, total, decided, draw.exhaustive)
+    indices, exhaustive = _draw(B, n, seed)
+    probes = map_branches(formula, B, indices, search=False, workers=workers)
+    decided = sum(1 for _, out in probes if out.tier != UNDECIDED)
+    return RhoEstimate(decided / len(indices), len(indices), decided, exhaustive)
 
 
 def exact_d_hardness(

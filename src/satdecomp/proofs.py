@@ -300,6 +300,8 @@ def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCh
                 return _fail(f"malformed manifest header at line {line_no}")
             if parts[0] not in ("cnf", "backdoor", "groups"):
                 return _fail(f"unknown manifest header key: {parts[0]}")
+            if parts[0] in headers:
+                return _fail(f"duplicate manifest header: {parts[0]}")
             headers[parts[0]] = parts[1]
             continue
         fields = line.split("\t")

@@ -442,6 +442,21 @@ class TestHostileBundles:
         assert not chk.ok
         assert [u.ok for u in chk.units].count(False) == 1
 
+    @pytest.mark.parametrize(
+        "header", ["# groups\t7", "# backdoor\t5 6", "# cnf\tother.cnf"]
+    )
+    def test_repeated_header_is_rejected(self, tmp_path, header):
+        """A second copy of a header would advertise a second claim."""
+        d = tmp_path / "bundle"
+        generate_proof_bundle(pigeonhole(3, 2), dset([1, 2], 6), k_groups=2, out_dir=d)
+        assert check_proof_bundle(d).ok
+        manifest = d / MANIFEST_NAME
+        manifest.write_text(header + "\n" + manifest.read_text())
+        chk = check_proof_bundle(d)
+        assert not chk.ok
+        key = header[2:].split("\t")[0]
+        assert chk.reason == f"duplicate manifest header: {key}"
+
 
 def _name_spans(manifest: bytes) -> list[tuple[int, int]]:
     """Byte spans of the two file-name columns of every manifest unit row."""
