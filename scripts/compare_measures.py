@@ -1,9 +1,9 @@
 """Compare hardness estimates of one decomposition set across measures.
 
 Estimates the set's hardness under the propagation, conflict, and time
-measures, with and without the unit-propagation tier, and prints one CSV
-row per configuration. Useful for judging how measure choice reorders
-candidate sets.
+measures and prints one CSV row per measure, with the number of observed
+branches that unit propagation decides. Useful for judging how measure
+choice reorders candidate sets.
 """
 
 import argparse
@@ -16,7 +16,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from satdecomp.estimator import (
     DecompositionSet,
     EstimatorConfig,
-    estimate_d_hardness,
     estimate_d_hardness_with_up_preprocessing,
 )
 from satdecomp.formula import parse_dimacs
@@ -40,31 +39,25 @@ def main() -> int:
 
     rows = []
     for measure in (PROPAGATIONS, CONFLICTS, TIME):
-        for use_up in (True, False):
-            cfg = EstimatorConfig(
-                initial_n=args.sample_size,
-                max_n=args.max_sample_size,
-                seed=args.seed,
-                measure=measure,
-                workers=args.workers,
-            )
-            fn = (
-                estimate_d_hardness_with_up_preprocessing
-                if use_up
-                else estimate_d_hardness
-            )
-            est = fn(formula, B, cfg)
-            rows.append(
-                {
-                    "measure": measure,
-                    "up": use_up,
-                    "n": est.stats.n,
-                    "exhaustive": est.exhaustive,
-                    "converged": est.converged,
-                    "value": est.value,
-                    "log2_value": est.log2_value,
-                }
-            )
+        cfg = EstimatorConfig(
+            initial_n=args.sample_size,
+            max_n=args.max_sample_size,
+            seed=args.seed,
+            measure=measure,
+            workers=args.workers,
+        )
+        est = estimate_d_hardness_with_up_preprocessing(formula, B, cfg)
+        rows.append(
+            {
+                "measure": measure,
+                "n": est.stats.n,
+                "easy_count": est.easy_count,
+                "exhaustive": est.exhaustive,
+                "converged": est.converged,
+                "value": est.value,
+                "log2_value": est.log2_value,
+            }
+        )
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")

@@ -19,7 +19,6 @@ from .estimator import (
     EstimatorConfig,
     estimate_d_hardness,
     estimate_d_hardness_with_up_preprocessing,
-    estimate_rho,
 )
 from .formula import CnfError, CnfFormula, parse_dimacs
 from .proofs import check_proof_bundle, generate_proof_bundle
@@ -126,9 +125,6 @@ def cmd_estimate(args) -> int:
         est = estimate_d_hardness_with_up_preprocessing(formula, B, cfg)
     if est.sat_found:
         return _sat_report("estimate", args, est.witness)
-    rho = estimate_rho(
-        formula, B, n=cfg.initial_n, seed=args.seed, workers=args.workers
-    )
     pairs = [
         ("command", "estimate"),
         ("formula", args.cnf),
@@ -150,10 +146,10 @@ def cmd_estimate(args) -> int:
         pairs.append(("easy_count", est.easy_count))
     pairs.extend(
         [
-            ("rho", float(rho.rho)),
-            ("rho_n", rho.n),
-            ("rho_easy", rho.easy_count),
-            ("rho_exhaustive", rho.exhaustive),
+            ("rho", float(est.rho.rho)),
+            ("rho_n", est.rho.n),
+            ("rho_easy", est.rho.easy_count),
+            ("rho_exhaustive", est.rho.exhaustive),
             ("elapsed_s", time.perf_counter() - t0),
         ]
     )
@@ -179,9 +175,7 @@ def cmd_find_backdoor(args) -> int:
     t0 = time.perf_counter()
     space = reduce_search_space(formula, m=args.b0_size, workers=args.workers)
     try:
-        result = ga_minimize(
-            formula, space, ga_cfg, est_cfg, use_up=not args.no_up
-        )
+        result = ga_minimize(formula, space, ga_cfg, est_cfg)
     except SatDiscovered as exc:
         return _sat_report("find_backdoor", args, exc.witness)
     if args.out:
@@ -195,7 +189,6 @@ def cmd_find_backdoor(args) -> int:
             ("num_clauses", formula.num_clauses),
             ("b0_size", len(space.b0)),
             ("measure", est_cfg.measure),
-            ("up_preprocessing", not args.no_up),
             ("seed", args.seed),
             ("population", ga_cfg.population),
             ("elites", ga_cfg.elites),
@@ -326,8 +319,6 @@ def _add_estimation(p: argparse.ArgumentParser) -> None:
                    help="sampling budget before giving up on convergence")
     p.add_argument("--measure", choices=sorted(_MEASURES), default="props",
                    help="branch workload measure")
-    p.add_argument("--no-up", action="store_true",
-                   help="skip the unit-propagation tier when observing branches")
 
 
 def _build_parser() -> _Parser:
@@ -344,6 +335,9 @@ def _build_parser() -> _Parser:
                    metavar="VAR", help="variables of the decomposition set")
     p.add_argument("--exhaustive", action="store_true",
                    help="enumerate every branch instead of sampling")
+    p.add_argument("--no-up", action="store_true",
+                   help="leave out the easy_count line (branches decided by "
+                   "unit propagation); the estimate itself is unchanged")
     _add_estimation(p)
     _add_common(p)
     p.set_defaults(func=cmd_estimate)

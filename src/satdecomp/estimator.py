@@ -112,6 +112,16 @@ class SampleStats:
 
 
 @dataclass(frozen=True)
+class RhoEstimate:
+    """Fraction of sampled branches decided by unit propagation alone."""
+
+    rho: float
+    n: int
+    easy_count: int
+    exhaustive: bool
+
+
+@dataclass(frozen=True)
 class DHardnessEstimate:
     stats: SampleStats
     b_size: int
@@ -122,16 +132,7 @@ class DHardnessEstimate:
     sat_found: bool
     witness: Assignment | None = None
     easy_count: int | None = None
-
-
-@dataclass(frozen=True)
-class RhoEstimate:
-    """Fraction of sampled branches decided by unit propagation alone."""
-
-    rho: float
-    n: int
-    easy_count: int
-    exhaustive: bool
+    rho: RhoEstimate | None = None  # of the first round; None once SAT is found
 
 
 @dataclass(frozen=True)
@@ -284,11 +285,9 @@ class _Branches:
     """
 
     def __init__(
-        self, formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig, use_up: bool
+        self, formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig
     ) -> None:
-        self.map = partial(
-            map_branches, formula, B, up_first=use_up, workers=cfg.workers
-        )
+        self.map = partial(map_branches, formula, B, workers=cfg.workers)
         self.measure = cfg.measure
         self.seen: dict[int, tuple[int | float, bool]] = {}  # index -> (cost, easy)
         self.witness: Assignment | None = None
@@ -318,11 +317,12 @@ class _Branches:
 
 
 def _estimate(
-    formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig, use_up: bool
+    formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig, report_easy: bool
 ) -> DHardnessEstimate:
     b = len(B)
-    branches = _Branches(formula, B, cfg, use_up)
+    branches = _Branches(formula, B, cfg)
     target = cfg.initial_n
+    rho = None
     while True:
         drawn, exhaustive = _draw(B, target, cfg.seed)
         if exhaustive:
@@ -335,6 +335,8 @@ def _estimate(
             compute_stats(observations) if observations else SampleStats(0, 0.0, 0.0)
         )
         sat = branches.witness is not None
+        if rho is None and not sat:  # the first round, observed in full
+            rho = RhoEstimate(easy / len(drawn), len(drawn), easy, exhaustive)
         exhaustive = exhaustive and not sat
         # a zero mean needs a sample of 1, so it counts as converged
         converged = not sat and (
@@ -344,7 +346,8 @@ def _estimate(
             return DHardnessEstimate(
                 stats, b, *_estimate_fields(stats, b),
                 converged=converged, exhaustive=exhaustive, sat_found=sat,
-                witness=branches.witness, easy_count=easy if use_up else None,
+                witness=branches.witness, easy_count=easy if report_easy else None,
+                rho=None if sat else rho,
             )
         target = min(2 * stats.n, cfg.max_n)
 
@@ -358,23 +361,27 @@ def estimate_d_hardness(
     all observations) until the required-sample-size condition holds or
     cfg.max_n is reached; exhaustive enumeration replaces sampling as soon
     as 2^|B| fits the current sample size, giving the exact value. Each
-    distinct branch is solved once: repeated draws and the enumeration
+    distinct branch is evaluated once: repeated draws and the enumeration
     reuse earlier observations. Any SAT branch aborts estimation with
     sat_found set and a witness.
+
+    Every branch is probed by unit propagation first, and an undecided one
+    goes on into search on the same engine, so the workload is the plain
+    solver's. The first round's probe results give rho, the share of
+    branches that unit propagation decides (estimate_rho on the first draw).
+    This estimate and estimate_d_hardness_with_up_preprocessing are one
+    estimate: they differ only in easy_count, which this one leaves None.
     """
-    return _estimate(formula, B, cfg or EstimatorConfig(), use_up=False)
+    return _estimate(formula, B, cfg or EstimatorConfig(), report_easy=False)
 
 
 def estimate_d_hardness_with_up_preprocessing(
     formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig | None = None
 ) -> DHardnessEstimate:
-    """Like estimate_d_hardness, but probes each branch with unit
-    propagation first and only launches the full solver on undecided
-    branches. Decided branches contribute the probe workload, which matches
-    the full solver's count on those branches, so exhaustive runs agree
-    exactly with the plain estimator under integer measures.
+    """estimate_d_hardness, also reporting easy_count: the observed branches
+    that unit propagation decides, repeated draws counted each time.
     """
-    return _estimate(formula, B, cfg or EstimatorConfig(), use_up=True)
+    return _estimate(formula, B, cfg or EstimatorConfig(), report_easy=True)
 
 
 def estimate_rho(

@@ -28,5 +28,6 @@ def ordered_map(
             yield fn(item)
         return
     chunksize = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool starts all its processes at once, so none beyond the items
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         yield from pool.map(fn, items, chunksize=chunksize)

@@ -18,7 +18,6 @@ from .estimator import (
     DecompositionSet,
     DHardnessEstimate,
     EstimatorConfig,
-    estimate_d_hardness,
     estimate_d_hardness_with_up_preprocessing,
     mask_seed,
     sweep_branches,
@@ -126,15 +125,9 @@ class FitnessEvaluator:
     SatDiscovered.
     """
 
-    def __init__(
-        self,
-        formula: CnfFormula,
-        cfg: EstimatorConfig | None = None,
-        use_up: bool = True,
-    ):
+    def __init__(self, formula: CnfFormula, cfg: EstimatorConfig | None = None):
         self.formula = formula
         self.cfg = cfg if cfg is not None else EstimatorConfig()
-        self.use_up = use_up
         self.fresh_evaluations = 0
         self._cache: dict[int, DHardnessEstimate] = {}
 
@@ -146,10 +139,7 @@ class FitnessEvaluator:
         if hit is not None:
             return hit, False
         cfg = replace(self.cfg, seed=mask_seed(self.cfg.seed, B.mask))
-        if self.use_up:
-            est = estimate_d_hardness_with_up_preprocessing(self.formula, B, cfg)
-        else:
-            est = estimate_d_hardness(self.formula, B, cfg)
+        est = estimate_d_hardness_with_up_preprocessing(self.formula, B, cfg)
         if est.sat_found:
             raise SatDiscovered(est.witness, mask=B)
         self._cache[B.mask] = est
@@ -262,7 +252,6 @@ def ga_minimize(
     space: SearchSpace,
     cfg: GaConfig | None = None,
     est_cfg: EstimatorConfig | None = None,
-    use_up: bool = True,
 ) -> GaResult:
     """Minimize estimated d-hardness over subsets of the reduced universe.
 
@@ -282,7 +271,7 @@ def ga_minimize(
         raise ValueError("search space is empty")
 
     rng = random.Random(cfg.seed)
-    evaluator = FitnessEvaluator(formula, est_cfg, use_up=use_up)
+    evaluator = FitnessEvaluator(formula, est_cfg)
     flip_cdf = _power_law_cdf(cfg.mutation_beta, max(1, nb // 2))
     start = time.perf_counter()
     history: list[HistoryRecord] = []
