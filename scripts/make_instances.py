@@ -21,6 +21,22 @@ from satdecomp.instances import (
 )
 
 
+def fixture_batch(seed: int = 0) -> dict:
+    """The fixture formulas by file name."""
+    batch = {}
+    for n in range(3, 9):
+        batch[f"php_{n}_{n - 1}.cnf"] = pigeonhole(n, n - 1)
+    for k in (4, 8, 12, 16, 20, 22):
+        batch[f"sgen_{k}_s{seed}.cnf"] = sgen_style(k, seed=seed)
+    for n in (3, 5, 7, 9, 11):
+        batch[f"xorring_{n}.cnf"] = xor_ring(n)
+    for k in (2, 3, 4):
+        batch[f"contra_{k}.cnf"] = complete_contradiction(k)
+    for i in range(3):
+        batch[f"rand3_40_180_s{i}.cnf"] = random_cnf(40, 180, 3, seed=i)
+    return batch
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="instances", help="output directory")
@@ -28,19 +44,7 @@ def main() -> int:
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    batch = {}
-    for n in range(3, 9):
-        batch[f"php_{n}_{n - 1}.cnf"] = pigeonhole(n, n - 1)
-    for k in (4, 8, 12, 16, 20, 22):
-        batch[f"sgen_{k}_s{args.seed}.cnf"] = sgen_style(k, seed=args.seed)
-    for n in (3, 5, 7, 9, 11):
-        batch[f"xorring_{n}.cnf"] = xor_ring(n)
-    for k in (2, 3, 4):
-        batch[f"contra_{k}.cnf"] = complete_contradiction(k)
-    for i in range(3):
-        batch[f"rand3_40_180_s{i}.cnf"] = random_cnf(40, 180, 3, seed=i)
-
-    for name, formula in sorted(batch.items()):
+    for name, formula in sorted(fixture_batch(args.seed).items()):
         path = os.path.join(args.out, name)
         with open(path, "w") as fh:
             fh.write(write_dimacs(formula))

@@ -68,9 +68,9 @@ from .solver import (
     SAT,
     TIME,
     UNSAT,
+    BranchOutcome,
     DratProof,
     PropagateResult,
-    SolveOutcome,
     SolverConfig,
     check_drat,
     propagate_only,

@@ -173,7 +173,7 @@ def cmd_find_backdoor(args) -> int:
         seed=args.seed,
     )
     t0 = time.perf_counter()
-    space = reduce_search_space(formula, m=args.b0_size, workers=args.workers)
+    space = reduce_search_space(formula, m=args.b0_size)
     try:
         result = ga_minimize(formula, space, ga_cfg, est_cfg)
     except SatDiscovered as exc:

@@ -23,8 +23,7 @@ from .estimator import (
     sweep_branches,
 )
 from .formula import CnfFormula
-from .parallel import ordered_map
-from .solver import DECIDED_UNSAT, UNDECIDED, propagate_only
+from .solver import UNDECIDED, closure_sizes
 
 __all__ = [
     "SearchSpace",
@@ -55,32 +54,21 @@ class SatDiscovered(Exception):
         self.mask = mask
 
 
-def _weight_probe(args) -> int:
-    formula, lit = args
-    var = abs(lit)
-    res = propagate_only(formula, {var: lit > 0})
-    if res.status == DECIDED_UNSAT:
-        # refuting assertion: maximally informative, score the whole formula
-        return formula.num_vars
-    return len(res.assignment)
-
-
-def variable_weights(
-    formula: CnfFormula, workers: int = 1
-) -> list[tuple[int, int]]:
+def variable_weights(formula: CnfFormula) -> list[tuple[int, int]]:
     """Score every variable by how much unit propagation it triggers.
 
     The weight of a variable is the number of variables assigned at the UP
     fixpoint after asserting it true, plus the same for asserting it false.
-    An assertion that UP refutes counts as num_vars. Returns (var, weight)
-    pairs sorted by descending weight, ties broken by ascending index.
+    An assertion that UP refutes counts as num_vars. All 2*num_vars
+    closures are taken on one solver engine (`closure_sizes`). Returns
+    (var, weight) pairs sorted by descending weight, ties broken by
+    ascending index.
     """
     nv = formula.num_vars
-    jobs = [(formula, lit) for v in range(1, nv + 1) for lit in (v, -v)]
-    parts = list(ordered_map(_weight_probe, jobs, workers=workers))
-    weights = [
-        (v, parts[2 * (v - 1)] + parts[2 * (v - 1) + 1]) for v in range(1, nv + 1)
-    ]
+    sizes = closure_sizes(formula, [lit for v in range(1, nv + 1) for lit in (v, -v)])
+    # a refuting assertion is maximally informative: it scores the whole formula
+    parts = [nv if size is None else size for size in sizes]
+    weights = [(v, parts[2 * v - 2] + parts[2 * v - 1]) for v in range(1, nv + 1)]
     weights.sort(key=lambda vw: (-vw[1], vw[0]))
     return weights
 
@@ -96,9 +84,7 @@ class SearchSpace:
         return len(self.b0)
 
 
-def reduce_search_space(
-    formula: CnfFormula, m: int = 200, workers: int = 1
-) -> SearchSpace:
+def reduce_search_space(formula: CnfFormula, m: int = 200) -> SearchSpace:
     """Keep the m variables with the largest unit-propagation weights.
 
     m is clamped to num_vars so the default is usable on small formulas.
@@ -108,7 +94,7 @@ def reduce_search_space(
     if formula.num_vars == 0:
         raise ValueError("formula has no variables to search over")
     m = min(m, formula.num_vars)
-    weights = variable_weights(formula, workers=workers)
+    weights = variable_weights(formula)
     top = [v for v, _ in weights[:m]]
     return SearchSpace(
         b0=DecompositionSet.from_vars(top, formula.num_vars),

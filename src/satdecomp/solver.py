@@ -92,16 +92,6 @@ class DratProof:
 
 
 @dataclass
-class SolveOutcome:
-    verdict: str
-    propagations: int
-    conflicts: int
-    elapsed: float
-    model: Assignment | None = None
-    proof: DratProof | None = None
-
-
-@dataclass
 class PropagateResult:
     """Outcome of a unit-propagation-only probe."""
 
@@ -113,12 +103,12 @@ class PropagateResult:
 
 @dataclass
 class BranchOutcome:
-    """One branch formula evaluated by `evaluate_branch`.
+    """The outcome of `solve` or of one `evaluate_branch` call.
 
     tier is UP_DECIDED, CDCL, or UNDECIDED when the probe left the branch
-    open and no search was asked for (verdict UNKNOWN then). model is the
-    residual's model on SAT: the probe's partial assignment on the
-    UP_DECIDED tier, a total one on the CDCL tier.
+    open and no search was asked for (verdict UNKNOWN then); `solve` always
+    reports CDCL. model is the formula's model on SAT: the probe's partial
+    assignment on the UP_DECIDED tier, a total one on the CDCL tier.
     """
 
     tier: str
@@ -130,8 +120,9 @@ class BranchOutcome:
     proof: DratProof | None = None
 
 
-def workload(outcome: SolveOutcome | BranchOutcome, measure: str) -> int | float:
-    """Read the configured workload counter from a solve or branch outcome."""
+def workload(outcome: BranchOutcome, measure: str) -> int | float:
+    """Read the configured workload counter from the outcome of `solve` or
+    of a branch evaluation, both a `BranchOutcome`."""
     if measure == PROPAGATIONS:
         return outcome.propagations
     if measure == CONFLICTS:
@@ -156,7 +147,8 @@ def _luby(i: int) -> int:
 
 
 class _Engine:
-    """CDCL core shared by full solving and the propagate-only probe."""
+    """CDCL core of full solving, the propagate-only probe, closure sizes
+    and the RUP checker."""
 
     def __init__(self, formula: CnfFormula, cfg: SolverConfig) -> None:
         nv = formula.num_vars
@@ -277,6 +269,27 @@ class _Engine:
                 self.qhead = len(trail)
                 return confl
         return -1
+
+    def assume(self, lits) -> int | None:
+        """Assert lits at a new decision level, propagate and backtrack.
+
+        Returns the number of variables assigned at the fixpoint, or None
+        when a literal is already false or propagation conflicts.
+        """
+        assigns = self.assigns
+        level = len(self.trail_lim)
+        self.trail_lim.append(len(self.trail))
+        clash = False
+        for lit in lits:
+            a = assigns[lit if lit > 0 else -lit]
+            if a == _UNSET:
+                self._enqueue(lit, None)
+            elif (a == 1) != (lit > 0):
+                clash = True
+                break
+        size = None if clash or self.propagate() != -1 else len(self.trail)
+        self.cancel_until(level)
+        return size
 
     def all_clauses_satisfied(self) -> bool:
         assigns = self.assigns
@@ -417,19 +430,16 @@ def solve(
     formula: CnfFormula,
     assumptions: Assignment | None = None,
     cfg: SolverConfig | None = None,
-) -> SolveOutcome:
+) -> BranchOutcome:
     """Complete CDCL solve of formula under optional level-0 assumptions.
 
-    Every call starts from scratch. With proof logging enabled, an UNSAT
-    outcome carries a RUP-checkable proof relative to the formula with the
-    assumptions folded in as unit clauses.
+    Every call starts from scratch; the outcome's tier is always CDCL. With
+    proof logging enabled, an UNSAT outcome carries a RUP-checkable proof
+    relative to the formula with the assumptions folded in as unit clauses.
     """
     asm = dict(assumptions) if assumptions else {}
     check_assignment(formula, asm)
-    out = _run(formula, asm, cfg, up_first=False, search=True)
-    return SolveOutcome(
-        out.verdict, out.propagations, out.conflicts, out.elapsed, out.model, out.proof
-    )
+    return _run(formula, asm, cfg, up_first=False, search=True)
 
 
 def evaluate_branch(
@@ -524,6 +534,20 @@ def propagate_only(
     return PropagateResult(status, eng.propagations, elapsed, assignment)
 
 
+def closure_sizes(formula: CnfFormula, literals: list[int]) -> list[int | None]:
+    """Unit-propagation closure of the formula under each literal alone.
+
+    One engine propagates the formula's units once; each literal is then
+    asserted at a decision level on top, propagated and taken back. Returns
+    per literal the number of variables assigned at the fixpoint, or None
+    when propagation conflicts (for every literal if the formula alone does).
+    """
+    eng = _Engine(formula, SolverConfig())
+    if not eng.preload({}):
+        return [None] * len(literals)
+    return [eng.assume((lit,)) for lit in literals]
+
+
 @dataclass
 class DratCheck:
     ok: bool
@@ -549,21 +573,7 @@ class _RupChecker(_Engine):
 
     def rup(self, cl: Clause) -> bool:
         """True iff propagating the clause's negation yields a conflict."""
-        if self.conflict:
-            return True
-        assigns = self.assigns
-        self.trail_lim.append(len(self.trail))
-        clash = False
-        for lit in cl:
-            a = assigns[lit if lit > 0 else -lit]
-            if a == _UNSET:
-                self._enqueue(-lit, None)
-            elif (a == 1) == (lit > 0):
-                clash = True  # lit is already true, so its negation clashes
-                break
-        conflict = clash or self.propagate() != -1
-        self.cancel_until(0)
-        return conflict
+        return self.conflict or self.assume([-lit for lit in cl]) is None
 
     def add(self, cl: Clause) -> None:
         """Attach a lemma, its non-false literals watched first. When the

@@ -109,24 +109,47 @@ def disjoint_union(f1: CnfFormula, f2: CnfFormula) -> CnfFormula:
     )
 
 
-def _unit_propagation_conflicts(clauses, true_lits) -> bool:
-    """Naive unit propagation over clause sets from the given true literals."""
+def unit_closure(clauses, true_lits):
+    """The literals naive unit propagation makes true from the given true
+    literals (the clauses' own units included), or None on a conflict."""
     true = set(true_lits)
     if any(-lit in true for lit in true):
-        return True
+        return None
     changed = True
     while changed:
         changed = False
         for cl in clauses:
-            if cl & true:
+            if any(lit in true for lit in cl):
                 continue
             open_lits = [lit for lit in cl if -lit not in true]
             if not open_lits:
-                return True
+                return None
             if len(open_lits) == 1:
                 true.add(open_lits[0])
                 changed = True
-    return False
+    return true
+
+
+def _unit_propagation_conflicts(clauses, true_lits) -> bool:
+    """Naive unit propagation over clause sets from the given true literals."""
+    return unit_closure(clauses, true_lits) is None
+
+
+def naive_variable_weights(formula: CnfFormula):
+    """(var, weight) pairs by naive unit closure, heaviest first.
+
+    A variable's weight is the size of the closure of its positive literal
+    plus that of its negative one; a closure that conflicts counts as
+    num_vars. Ties go to the lower index.
+    """
+    nv = formula.num_vars
+
+    def size(lit):
+        closure = unit_closure(formula.clauses, [lit])
+        return nv if closure is None else len(closure)
+
+    weights = [(v, size(v) + size(-v)) for v in range(1, nv + 1)]
+    return sorted(weights, key=lambda vw: (-vw[1], vw[0]))
 
 
 def naive_check_drat(formula: CnfFormula, steps):

@@ -22,7 +22,6 @@ from satdecomp.estimator import (
     sample_assignments,
 )
 from satdecomp.instances import sgen_style
-from satdecomp.search import variable_weights
 from satdecomp.solver import UNDECIDED, evaluate_branch
 
 from conftest import dset
@@ -59,7 +58,6 @@ RUNS = {
     "estimate_rho": lambda w: estimate_rho(F, B6, 40, seed=3, workers=w),
     "exact_d_hardness": lambda w: exact_d_hardness(F, B5, workers=w),
     "solve_with_backdoors": _multi,
-    "variable_weights": lambda w: variable_weights(F, workers=w),
 }
 
 
