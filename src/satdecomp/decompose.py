@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 
 from .estimator import (
-    ENUMERATION_CAP,
     DecompositionSet,
+    _check_cap,
     branch_bits,
     map_branches,
     sweep_branches,
@@ -143,10 +143,7 @@ def _finish(branches, witness, vacuous=0, hard_sets=()):
 
 
 def solve_with_backdoor(
-    formula: CnfFormula,
-    B: DecompositionSet,
-    cfg: SolverConfig | None = None,
-    cap: int = ENUMERATION_CAP,
+    formula: CnfFormula, B: DecompositionSet, cfg: SolverConfig | None = None,
     workers: int = 1,
 ) -> DecomposedVerdict:
     """Decide a formula by solving every branch of one decomposition set.
@@ -155,10 +152,11 @@ def solve_with_backdoor(
     satisfiable branch short-circuits the rest; unsatisfiability requires
     every branch refuted. A branch that hits cfg.conflict_limit makes the
     verdict UNKNOWN unless some branch is satisfiable. Any other verdict
-    matches a direct solve.
+    matches a direct solve. Refused before any branch when 2^|B| exceeds
+    ENUMERATION_CAP.
     """
     branches: list[BranchResult] = []
-    for beta, out in sweep_branches(formula, B, cfg, workers=workers, cap=cap):
+    for beta, out in sweep_branches(formula, B, cfg, workers=workers):
         br = _branch_result(0, branch_bits(B, beta), beta, out)
         branches.append(br)
         if br.verdict == SAT:
@@ -170,9 +168,7 @@ def solve_with_backdoor(
 def solve_with_backdoors(
     formula: CnfFormula,
     backdoors: list[DecompositionSet] | tuple[DecompositionSet, ...],
-    cfg: SolverConfig | None = None,
-    cap: int = ENUMERATION_CAP,
-    workers: int = 1,
+    cfg: SolverConfig | None = None, workers: int = 1,
 ) -> DecomposedVerdict:
     """Decide a formula through several decomposition sets at once.
 
@@ -182,14 +178,15 @@ def solve_with_backdoors(
     parts contradict each other covers no assignment and is skipped,
     counted as vacuous. Unsatisfiable iff every easy branch and every
     nonvacuous merged branch is; UNKNOWN when a merged branch hits
-    cfg.conflict_limit and none is satisfiable.
+    cfg.conflict_limit and none is satisfiable. Each set, before any is
+    probed, and the product, before any merged branch is solved, is held
+    to ENUMERATION_CAP.
     """
     if not backdoors:
         raise ValueError("need at least one decomposition set")
     # every set is checked before any is probed
     sweeps = [
-        sweep_branches(formula, B, search=False, workers=workers, cap=cap)
-        for B in backdoors
+        sweep_branches(formula, B, search=False, workers=workers) for B in backdoors
     ]
 
     branches: list[BranchResult] = []
@@ -209,8 +206,7 @@ def solve_with_backdoors(
     product_total = 1
     for hs in hard_sets:
         product_total *= len(hs.hard)
-    if product_total > cap:
-        raise ValueError(f"|Gamma| = {product_total} exceeds the cap {cap}")
+    _check_cap(product_total)
 
     union_mask = 0
     for B in backdoors:
@@ -260,27 +256,20 @@ def simulate_parallel(branch_costs, workers: int) -> float:
     return makespan
 
 
-def write_branch_ledger(result: DecomposedVerdict, out) -> None:
-    """Write one CSV row per solved branch; `out` is a path or open file."""
-    if hasattr(out, "write"):
-        _write_ledger(result, out)
-    else:
-        with open(out, "w", newline="") as fh:
-            _write_ledger(result, fh)
-
-
-def _write_ledger(result: DecomposedVerdict, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(LEDGER_HEADER)
-    for br in result.branches:
-        writer.writerow(
-            [
-                br.backdoor_id,
-                br.beta_bits,
-                br.tier,
-                br.verdict,
-                br.propagations,
-                br.conflicts,
-                f"{br.elapsed_s:.6f}",
-            ]
-        )
+def write_branch_ledger(result: DecomposedVerdict, path) -> None:
+    """Write one CSV row per solved branch to the file at `path`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(LEDGER_HEADER)
+        for br in result.branches:
+            writer.writerow(
+                [
+                    br.backdoor_id,
+                    br.beta_bits,
+                    br.tier,
+                    br.verdict,
+                    br.propagations,
+                    br.conflicts,
+                    f"{br.elapsed_s:.6f}",
+                ]
+            )

@@ -82,7 +82,6 @@ class EstimatorConfig:
     max_n: int = 100_000
     seed: int = 0
     measure: str = PROPAGATIONS
-    enumeration_cap: int = ENUMERATION_CAP
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -96,8 +95,6 @@ class EstimatorConfig:
             raise ValueError("max_n must be >= initial_n")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
-        if self.enumeration_cap < 1:
-            raise ValueError("enumeration_cap must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -179,24 +176,26 @@ def map_branches(
     return parallel.ordered_map(run, indices, workers)
 
 
-def _check_cap(count: int, cap: int) -> None:
-    if count > cap:
-        raise ValueError(f"2^|B| = {count} exceeds the enumeration cap {cap}")
+def _check_cap(count: int) -> None:
+    """Refuse a walk over more than ENUMERATION_CAP branches, read at call time."""
+    if count > ENUMERATION_CAP:
+        raise ValueError(
+            f"{count} branches exceed the enumeration cap {ENUMERATION_CAP}"
+        )
 
 
 def sweep_branches(
     formula: CnfFormula, B: DecompositionSet, cfg: SolverConfig | None = None, *,
     up_first: bool = True, search: bool = True, workers: int = 1,
-    cap: int = ENUMERATION_CAP,
 ) -> Iterator[tuple[Assignment, BranchOutcome]]:
     """Evaluate every branch of B: (beta, outcome) pairs in lexicographic order.
 
     The checked walk over a whole decomposition set: map_branches over all
     2^|B| indices, refused at call time, before any branch, when 2^|B|
-    exceeds cap.
+    exceeds ENUMERATION_CAP.
     """
     count = 1 << len(B)
-    _check_cap(count, cap)
+    _check_cap(count)
     return map_branches(
         formula, B, range(count), cfg,
         up_first=up_first, search=search, workers=workers,
@@ -326,7 +325,7 @@ def _estimate(
     while True:
         drawn, exhaustive = _draw(B, target, cfg.seed)
         if exhaustive:
-            _check_cap(len(drawn), cfg.enumeration_cap)
+            _check_cap(len(drawn))
         branches.evaluate(drawn)
         # the estimate over the observed prefix of the draw; a satisfiable
         # branch makes it neither converged nor exhaustive
@@ -385,24 +384,17 @@ def estimate_d_hardness_with_up_preprocessing(
 
 
 def estimate_rho(
-    formula: CnfFormula,
-    B: DecompositionSet,
-    n: int = 10_000,
-    seed: int = 0,
-    workers: int = 1,
+    formula: CnfFormula, B: DecompositionSet, n: int = 10_000, seed: int = 0
 ) -> RhoEstimate:
     """Fraction of branch formulas decided by unit propagation alone."""
     indices, exhaustive = _draw(B, n, seed)
-    probes = map_branches(formula, B, indices, search=False, workers=workers)
+    probes = map_branches(formula, B, indices, search=False)
     decided = sum(1 for _, out in probes if out.tier != UNDECIDED)
     return RhoEstimate(decided / len(indices), len(indices), decided, exhaustive)
 
 
 def exact_d_hardness(
-    formula: CnfFormula,
-    B: DecompositionSet,
-    measure: str = PROPAGATIONS,
-    workers: int = 1,
+    formula: CnfFormula, B: DecompositionSet, measure: str = PROPAGATIONS
 ) -> int | float:
     """Brute-force d-hardness: total workload over all 2^|B| branches.
 
@@ -412,5 +404,5 @@ def exact_d_hardness(
     """
     return sum(
         workload(out, measure)
-        for _, out in sweep_branches(formula, B, up_first=False, workers=workers)
+        for _, out in sweep_branches(formula, B, up_first=False)
     )

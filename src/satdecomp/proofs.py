@@ -63,8 +63,6 @@ class CubeGroupFormula:
     unsatisfiable under every cube in the group.
     """
 
-    base: CnfFormula
-    cubes: tuple[Assignment, ...]
     encoded: CnfFormula
 
 
@@ -92,10 +90,7 @@ def build_cube_group(
             clauses.append((-u, lit))
         clauses.append(tuple([u] + [-lit for lit in lits]))
     clauses.append(tuple(nv + 1 + j for j in range(r)))
-    encoded = CnfFormula(nv + r, tuple(clauses))
-    return CubeGroupFormula(
-        base=formula, cubes=tuple(dict(c) for c in cubes), encoded=encoded
-    )
+    return CubeGroupFormula(CnfFormula(nv + r, tuple(clauses)))
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,6 @@ class ManifestUnit:
 class ProofBundle:
     directory: str
     manifest_path: str
-    backdoor: DecompositionSet
     k_groups: int
     units: tuple[ManifestUnit, ...]
     easy_count: int
@@ -230,7 +224,6 @@ def generate_proof_bundle(
     return ProofBundle(
         directory=out_dir,
         manifest_path=os.path.join(out_dir, MANIFEST_NAME),
-        backdoor=B,
         k_groups=k_groups,
         units=tuple(units),
         easy_count=len(easy),
@@ -275,7 +268,8 @@ def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCh
     must equal its derived text byte for byte, and the manifest must list
     each derived unit exactly once. Every proof is then checked by reverse
     unit propagation against its derived formula. `formula`, when given,
-    must equal the bundle's base CNF.
+    must equal the bundle's base CNF. Running out of memory while deriving
+    or checking fails the check with a reason.
     """
     manifest_path = path
     if os.path.isdir(path):
@@ -342,18 +336,20 @@ def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCh
 
     easy: list[Assignment] = []
     hard: list[Assignment] = []
-    for beta, probe in sweep:
-        if probe.verdict == SAT:
-            return _fail("a branch of the base formula is satisfiable")
-        (hard if probe.tier == UNDECIDED else easy).append(beta)
-
     derived_keys: set[tuple[str, str]] = set()
     checked: dict[tuple[str, str], UnitStatus] = {}
-    for unit, derived, text in _layout(base, B, k_groups, easy, hard):
-        key = (unit.kind, unit.ref)
-        derived_keys.add(key)
-        if key in rows:
-            checked[key] = _check_unit(bundle_dir, rows[key], unit, derived, text)
+    try:
+        for beta, probe in sweep:
+            if probe.verdict == SAT:
+                return _fail("a branch of the base formula is satisfiable")
+            (hard if probe.tier == UNDECIDED else easy).append(beta)
+        for unit, derived, text in _layout(base, B, k_groups, easy, hard):
+            key = (unit.kind, unit.ref)
+            derived_keys.add(key)
+            if key in rows:
+                checked[key] = _check_unit(bundle_dir, rows[key], unit, derived, text)
+    except MemoryError:
+        return _fail("out of memory deriving or checking the bundle")
     statuses = tuple(
         checked.get(key) or UnitStatus(*key, False, "not a unit of the derived bundle")
         for key in rows

@@ -171,7 +171,6 @@ class GaConfig:
     elites: int = 2
     crossover: int = 8
     mutation: int = 6
-    mutation_beta: float = 3.0
     init_size: int = 30
     time_limit_s: float | None = None
     generations: int | None = None
@@ -184,14 +183,15 @@ class GaConfig:
             raise ValueError("offspring counts must be nonnegative")
         if self.elites + self.crossover + self.mutation != self.population:
             raise ValueError("population must equal elites + crossover + mutation")
-        if self.mutation_beta <= 1:
-            raise ValueError("mutation_beta must exceed 1")
         if self.init_size < 1:
             raise ValueError("init_size must be positive")
         if self.time_limit_s is not None and self.time_limit_s <= 0:
             raise ValueError("time_limit_s must be positive")
         if self.generations is not None and self.generations < 0:
             raise ValueError("generations must be nonnegative")
+
+
+MUTATION_BETA = 3.0  # exponent of the power law that mutation flip counts follow
 
 
 def _power_law_cdf(beta: float, support: int) -> list[float]:
@@ -258,7 +258,7 @@ def ga_minimize(
 
     rng = random.Random(cfg.seed)
     evaluator = FitnessEvaluator(formula, est_cfg)
-    flip_cdf = _power_law_cdf(cfg.mutation_beta, max(1, nb // 2))
+    flip_cdf = _power_law_cdf(MUTATION_BETA, max(1, nb // 2))
     start = time.perf_counter()
     history: list[HistoryRecord] = []
     best: Individual | None = None
@@ -350,42 +350,35 @@ def ga_minimize(
     )
 
 
-def write_history_csv(history, out) -> None:
-    """Write GA history rows; `out` is a path or an open text file."""
-    if hasattr(out, "write"):
-        _write_history(history, out)
-    else:
-        with open(out, "w", newline="") as fh:
-            _write_history(history, fh)
-
-
-def _write_history(history, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(
-        ["elapsed_s", "evals", "card_B", "log2_fitness", "best_log2_fitness"]
-    )
-    for rec in history:
+def write_history_csv(history, path) -> None:
+    """Write GA history rows to the file at `path`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
-            [
-                f"{rec.elapsed_s:.6f}",
-                rec.evals,
-                rec.card_b,
-                repr(rec.log2_fitness),
-                repr(rec.best_log2_fitness),
-            ]
+            ["elapsed_s", "evals", "card_B", "log2_fitness", "best_log2_fitness"]
         )
+        for rec in history:
+            writer.writerow(
+                [
+                    f"{rec.elapsed_s:.6f}",
+                    rec.evals,
+                    rec.card_b,
+                    repr(rec.log2_fitness),
+                    repr(rec.best_log2_fitness),
+                ]
+            )
 
 
-def find_minimum_sbs(formula: CnfFormula, cap: int = 20) -> DecompositionSet | None:
+def find_minimum_sbs(formula: CnfFormula) -> DecompositionSet | None:
     """Smallest variable set whose every assignment UP decides the formula.
 
     Enumerates subsets by increasing cardinality, lexicographically within
     each cardinality, and returns the first set all of whose branches come
-    back decided. Exponential; refuses formulas above the cap.
+    back decided. Exponential; refuses formulas over 20 variables.
     """
     nv = formula.num_vars
-    if nv > cap:
-        raise ValueError(f"brute-force search needs num_vars <= {cap}")
+    if nv > 20:
+        raise ValueError("brute-force search needs num_vars <= 20")
     for k in range(nv + 1):
         for combo in itertools.combinations(range(1, nv + 1), k):
             B = DecompositionSet.from_vars(combo, nv)

@@ -2,9 +2,9 @@
 
 The estimators, rho, the exact oracle and decomposed solving all evaluate
 their branches through `estimator.map_branches`, and the random draw is the
-one behind `sample_assignments`. These tests hold the results to that: they
-do not depend on the worker count, and each estimator sees exactly the
-branches of `sample_assignments(B, n, seed)`, in its order.
+one behind `sample_assignments`. These tests hold the results to that: where
+a function takes a worker count, they do not depend on it, and each estimator
+sees exactly the branches of `sample_assignments(B, n, seed)`, in its order.
 """
 import dataclasses
 
@@ -18,7 +18,6 @@ from satdecomp.estimator import (
     estimate_d_hardness,
     estimate_d_hardness_with_up_preprocessing,
     estimate_rho,
-    exact_d_hardness,
     sample_assignments,
 )
 from satdecomp.instances import sgen_style
@@ -55,8 +54,6 @@ RUNS = {
     "estimate_with_up": lambda w: estimate_d_hardness_with_up_preprocessing(
         F, B5, dataclasses.replace(SWITCH, workers=w)
     ),
-    "estimate_rho": lambda w: estimate_rho(F, B6, 40, seed=3, workers=w),
-    "exact_d_hardness": lambda w: exact_d_hardness(F, B5, workers=w),
     "solve_with_backdoors": _multi,
 }
 

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import satdecomp.estimator
+import satdecomp.proofs
 from satdecomp.cli import EXIT_ERROR, EXIT_OK, EXIT_SAT, EXIT_UNSAT, main
 from satdecomp.estimator import DecompositionSet, exact_d_hardness
 from satdecomp.formula import CnfFormula, parse_dimacs, write_dimacs
@@ -43,6 +45,10 @@ def strip_timing(out: str) -> str:
     return "\n".join(
         l for l in out.splitlines() if not l.startswith("elapsed_s=")
     )
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError
 
 
 class TestEstimate:
@@ -225,6 +231,12 @@ class TestSolve:
         assert code == EXIT_ERROR
         assert err
 
+    def test_out_of_memory_exits_1_with_message(self, capsys, php43_path, monkeypatch):
+        monkeypatch.setattr(satdecomp.estimator, "evaluate_branch", out_of_memory)
+        code, out, err = run_cli(capsys, "solve", php43_path, "--backdoor", "1", "2")
+        assert code == EXIT_ERROR
+        assert (out, err) == ("", "error: out of memory\n")
+
 
 class TestProveAndCheck:
     @pytest.mark.parametrize("flag", ["--workers", "--seed"])
@@ -286,6 +298,26 @@ class TestProveAndCheck:
         rep = report_dict(out)
         assert rep["ok"] == "false"
         assert "reason" in rep
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [(satdecomp.estimator, "evaluate_branch"), (satdecomp.proofs, "check_drat")],
+        ids=["derivation", "unit_check"],
+    )
+    def test_out_of_memory_fails_the_check_with_a_reason(
+        self, capsys, php43_path, tmp_path, monkeypatch, module, name
+    ):
+        bundle = tmp_path / "bundle"
+        run_cli(
+            capsys, "prove", php43_path, "--backdoor", "1", "2",
+            "--k-groups", "2", "--out", str(bundle),
+        )
+        monkeypatch.setattr(module, name, out_of_memory)
+        code, out, _ = run_cli(capsys, "check", str(bundle))
+        assert code == EXIT_ERROR
+        rep = report_dict(out)
+        assert rep["ok"] == "false"
+        assert rep["reason"] == "out of memory deriving or checking the bundle"
 
     def test_sat_formula_prove_exits_10(self, capsys, sat_path, tmp_path):
         code, out, _ = run_cli(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satdecomp.estimator
 from satdecomp.decompose import (
     CDCL,
     LEDGER_HEADER,
@@ -64,9 +65,9 @@ class TestSingleBackdoor:
         assert r.easy_count + r.hard_count == len(r.branches) == 8
 
     def test_cap_enforced(self):
-        f = pigeonhole(4, 3)
-        with pytest.raises(ValueError):
-            solve_with_backdoor(f, dset(range(1, 12), 12), cap=1024)
+        f = pigeonhole(6, 5)
+        with pytest.raises(ValueError, match="enumeration cap"):
+            solve_with_backdoor(f, dset(range(1, 22), f.num_vars))
 
     def test_workers_do_not_change_result(self):
         f = pigeonhole(4, 3)
@@ -147,11 +148,14 @@ class TestMultiBackdoor:
         assert r.verdict == SAT
         assert evaluate(f, r.witness)
 
-    def test_product_cap_enforced(self):
+    def test_product_cap_enforced(self, monkeypatch):
+        # each set has 8 branches, 3 of them hard: both sweeps pass the cap
+        # and the 9-element product does not
+        monkeypatch.setattr(satdecomp.estimator, "ENUMERATION_CAP", 8)
         f = pigeonhole(4, 3)
         sets = [dset([1, 2, 3], 12), dset([4, 5, 6], 12)]
-        with pytest.raises(ValueError):
-            solve_with_backdoors(f, sets, cap=4)
+        with pytest.raises(ValueError, match="9 branches"):
+            solve_with_backdoors(f, sets)
 
 
 class TestVerdictEquivalence:

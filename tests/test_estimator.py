@@ -194,10 +194,11 @@ class TestEstimate:
             estimate_d_hardness(f, B, EstimatorConfig(initial_n=2))
 
     def test_enumeration_cap_enforced(self):
-        f = pigeonhole(4, 3)
-        B = DecompositionSet.from_vars(range(1, 12), 12)
-        cfg = EstimatorConfig(initial_n=4096, enumeration_cap=1024)
-        with pytest.raises(ValueError):
+        # the first round's 2^21 draws switch to enumerating 2^21 branches
+        f = pigeonhole(6, 5)
+        B = DecompositionSet.from_vars(range(1, 22), f.num_vars)
+        cfg = EstimatorConfig(initial_n=1 << 21, max_n=1 << 21)
+        with pytest.raises(ValueError, match="enumeration cap"):
             estimate_d_hardness(f, B, cfg)
 
     def test_exhaustive_switch_evaluates_each_branch_once(self, monkeypatch):

@@ -254,8 +254,6 @@ class TestGa:
         with pytest.raises(ValueError):
             GaConfig(population=5, elites=2, crossover=2, mutation=2)
         with pytest.raises(ValueError):
-            GaConfig(mutation_beta=1.0)
-        with pytest.raises(ValueError):
             GaConfig(init_size=0)
         with pytest.raises(ValueError):
             GaConfig(time_limit_s=0.0)

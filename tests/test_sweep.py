@@ -3,15 +3,18 @@
 import pytest
 
 import satdecomp
-from satdecomp.decompose import solve_with_backdoors
+from satdecomp.decompose import solve_with_backdoor, solve_with_backdoors
 from satdecomp.estimator import (
     ENUMERATION_CAP,
     DecompositionSet,
+    EstimatorConfig,
     branch_assignment,
+    estimate_d_hardness,
     exact_d_hardness,
     sweep_branches,
 )
 from satdecomp.instances import pigeonhole
+from satdecomp.proofs import check_proof_bundle, generate_proof_bundle
 from satdecomp.solver import evaluate_branch
 
 import conftest
@@ -43,8 +46,6 @@ class TestSweepBranches:
             sweep_branches(f, dset([1], 31))
         with pytest.raises(ValueError, match="enumeration cap"):
             sweep_branches(f, dset(range(1, 22), 30))
-        with pytest.raises(ValueError, match="enumeration cap"):
-            sweep_branches(f, dset([1, 2, 3], 30), cap=4)
         assert calls == []
 
     def test_default_cap_is_two_to_the_twenty(self):
@@ -81,3 +82,52 @@ class TestSweepBranches:
         with pytest.raises(ValueError, match="enumeration cap"):
             solve_with_backdoors(f, sets)
         assert calls == []
+
+
+PHP = pigeonhole(4, 3)  # 12 variables, unsatisfiable
+B4 = dset([1, 2, 3, 4], 12)  # 16 branches, over the patched cap of 8
+# each has 8 branches, 3 of them hard: their product has 9 elements
+PAIR = [dset([1, 2, 3], 12), dset([4, 5, 6], 12)]
+
+
+def _raised(fn, *args):
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+# name -> (run giving the refusal message, branches probed before it, count)
+REFUSALS = {
+    "sweep_branches": (lambda _: _raised(sweep_branches, PHP, B4), 0, 16),
+    "solve_with_backdoor": (lambda _: _raised(solve_with_backdoor, PHP, B4), 0, 16),
+    "estimator_switch": (
+        lambda _: _raised(estimate_d_hardness, PHP, B4, EstimatorConfig(initial_n=16)),
+        0, 16,
+    ),
+    "product": (lambda _: _raised(solve_with_backdoors, PHP, PAIR), 16, 9),
+    "bundle_header": (lambda bundle: check_proof_bundle(bundle).reason, 0, 16),
+}
+
+
+@pytest.fixture
+def bundle(tmp_path):
+    """A bundle over B4, written at the real cap."""
+    generate_proof_bundle(PHP, B4, k_groups=2, out_dir=tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_the_one_cap_is_read_at_call_time(name, bundle, monkeypatch):
+    run, probes, count = REFUSALS[name]
+    calls = []
+    real = satdecomp.estimator.evaluate_branch
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["search"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(satdecomp.estimator, "evaluate_branch", recording)
+    monkeypatch.setattr(satdecomp.estimator, "ENUMERATION_CAP", 8)
+    assert run(bundle).endswith(f"{count} branches exceed the enumeration cap 8")
+    # only the product is refused after branches run: both sets' probes
+    assert calls == [False] * probes
