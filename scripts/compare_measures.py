@@ -13,11 +13,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from satdecomp.estimator import (
-    DecompositionSet,
-    EstimatorConfig,
-    estimate_d_hardness_with_up_preprocessing,
-)
+from satdecomp.estimator import DecompositionSet, EstimatorConfig, estimate_d_hardness
 from satdecomp.formula import parse_dimacs
 from satdecomp.solver import CONFLICTS, PROPAGATIONS, TIME
 
@@ -46,7 +42,7 @@ def main() -> int:
             measure=measure,
             workers=args.workers,
         )
-        est = estimate_d_hardness_with_up_preprocessing(formula, B, cfg)
+        est = estimate_d_hardness(formula, B, cfg)
         rows.append(
             {
                 "measure": measure,

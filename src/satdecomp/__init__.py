@@ -23,7 +23,6 @@ from .estimator import (
     branch_assignment,
     branch_bits,
     estimate_d_hardness,
-    estimate_d_hardness_with_up_preprocessing,
     estimate_rho,
     exact_d_hardness,
     required_sample_size,

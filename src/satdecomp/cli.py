@@ -14,12 +14,7 @@ import sys
 import time
 
 from .decompose import solve_with_backdoor, solve_with_backdoors, write_branch_ledger
-from .estimator import (
-    DecompositionSet,
-    EstimatorConfig,
-    estimate_d_hardness,
-    estimate_d_hardness_with_up_preprocessing,
-)
+from .estimator import DecompositionSet, EstimatorConfig, estimate_d_hardness
 from .formula import CnfError, CnfFormula, parse_dimacs
 from .proofs import check_proof_bundle, generate_proof_bundle
 from .search import (
@@ -97,17 +92,12 @@ def _sat_report(command: str, args, witness) -> int:
     return EXIT_SAT
 
 
-def _est_config(args, b_size: int | None = None) -> EstimatorConfig:
-    initial_n = args.sample_size
-    max_n = args.max_sample_size
-    if getattr(args, "exhaustive", False) and b_size is not None:
-        initial_n = max(2, 1 << b_size)
-        max_n = max(max_n, initial_n)
+def _est_config(args) -> EstimatorConfig:
     return EstimatorConfig(
         epsilon=args.epsilon,
         delta=args.delta,
-        initial_n=initial_n,
-        max_n=max_n,
+        initial_n=args.sample_size,
+        max_n=args.max_sample_size,
         seed=args.seed,
         measure=_MEASURES[args.measure],
         workers=args.workers,
@@ -117,35 +107,32 @@ def _est_config(args, b_size: int | None = None) -> EstimatorConfig:
 def cmd_estimate(args) -> int:
     formula = _read_formula(args.cnf)
     B = DecompositionSet.from_vars(args.backdoor, formula.num_vars)
-    cfg = _est_config(args, b_size=len(B))
+    if args.exhaustive:  # a first round that covers every branch
+        args.sample_size = max(2, 1 << len(B))
+        args.max_sample_size = max(args.max_sample_size, args.sample_size)
+    cfg = _est_config(args)
     t0 = time.perf_counter()
-    if args.no_up:
-        est = estimate_d_hardness(formula, B, cfg)
-    else:
-        est = estimate_d_hardness_with_up_preprocessing(formula, B, cfg)
+    est = estimate_d_hardness(formula, B, cfg)
     if est.sat_found:
         return _sat_report("estimate", args, est.witness)
-    pairs = [
-        ("command", "estimate"),
-        ("formula", args.cnf),
-        ("num_vars", formula.num_vars),
-        ("num_clauses", formula.num_clauses),
-        ("backdoor", _vars_text(B)),
-        ("b_size", len(B)),
-        ("measure", cfg.measure),
-        ("up_preprocessing", not args.no_up),
-        ("exhaustive", est.exhaustive),
-        ("converged", est.converged),
-        ("n", est.stats.n),
-        ("mean", float(est.stats.mean)),
-        ("variance", float(est.stats.variance)),
-        ("value", float(est.value)),
-        ("log2_value", float(est.log2_value)),
-    ]
-    if est.easy_count is not None:
-        pairs.append(("easy_count", est.easy_count))
-    pairs.extend(
+    _emit(
         [
+            ("command", "estimate"),
+            ("formula", args.cnf),
+            ("num_vars", formula.num_vars),
+            ("num_clauses", formula.num_clauses),
+            ("backdoor", _vars_text(B)),
+            ("b_size", len(B)),
+            ("measure", cfg.measure),
+            ("up_preprocessing", True),
+            ("exhaustive", est.exhaustive),
+            ("converged", est.converged),
+            ("n", est.stats.n),
+            ("mean", float(est.stats.mean)),
+            ("variance", float(est.stats.variance)),
+            ("value", float(est.value)),
+            ("log2_value", float(est.log2_value)),
+            ("easy_count", est.easy_count),
             ("rho", float(est.rho.rho)),
             ("rho_n", est.rho.n),
             ("rho_easy", est.rho.easy_count),
@@ -153,7 +140,6 @@ def cmd_estimate(args) -> int:
             ("elapsed_s", time.perf_counter() - t0),
         ]
     )
-    _emit(pairs)
     return EXIT_OK
 
 
@@ -335,9 +321,6 @@ def _build_parser() -> _Parser:
                    metavar="VAR", help="variables of the decomposition set")
     p.add_argument("--exhaustive", action="store_true",
                    help="enumerate every branch instead of sampling")
-    p.add_argument("--no-up", action="store_true",
-                   help="leave out the easy_count line (branches decided by "
-                   "unit propagation); the estimate itself is unchanged")
     _add_estimation(p)
     _add_common(p)
     p.set_defaults(func=cmd_estimate)

@@ -61,11 +61,10 @@ LEDGER_HEADER = [
 
 @dataclass(frozen=True)
 class BranchResult:
-    """One solved branch: its assignment, tier, verdict, and workload."""
+    """One solved branch: its assignment bits, tier, verdict, and workload."""
 
     backdoor_id: int
     beta_bits: str
-    beta: Assignment
     tier: str
     verdict: str
     propagations: int
@@ -96,22 +95,15 @@ class DecomposedVerdict:
     hard_sets: tuple[HardSet, ...] = ()
 
 
-def _total_witness(num_vars: int, *layers: Assignment) -> Assignment:
-    # unconstrained variables default to false; later layers win
-    witness: Assignment = {v: False for v in range(1, num_vars + 1)}
-    for layer in layers:
-        for v, val in layer.items():
-            witness[v] = bool(val)
-    return witness
+def _total_witness(num_vars: int, model: Assignment) -> Assignment:
+    # unconstrained variables default to false
+    return {v: bool(model.get(v, False)) for v in range(1, num_vars + 1)}
 
 
-def _branch_result(
-    backdoor_id: int, bits: str, beta: Assignment, out: BranchOutcome
-) -> BranchResult:
+def _branch_result(backdoor_id: int, bits: str, out: BranchOutcome) -> BranchResult:
     return BranchResult(
         backdoor_id,
         bits,
-        beta,
         out.tier,
         out.verdict,
         out.propagations,
@@ -157,11 +149,9 @@ def solve_with_backdoor(
     """
     branches: list[BranchResult] = []
     for beta, out in sweep_branches(formula, B, cfg, workers=workers):
-        br = _branch_result(0, branch_bits(B, beta), beta, out)
-        branches.append(br)
-        if br.verdict == SAT:
-            witness = _total_witness(formula.num_vars, br.model or {}, br.beta)
-            return _finish(branches, witness)
+        branches.append(_branch_result(0, branch_bits(B, beta), out))
+        if out.verdict == SAT:
+            return _finish(branches, _total_witness(formula.num_vars, out.model))
     return _finish(branches, None)
 
 
@@ -197,9 +187,9 @@ def solve_with_backdoors(
             if out.tier == UNDECIDED:
                 hard.append(beta)
                 continue
-            branches.append(_branch_result(bid, branch_bits(B, beta), beta, out))
+            branches.append(_branch_result(bid, branch_bits(B, beta), out))
             if out.verdict == SAT:
-                witness = _total_witness(formula.num_vars, out.model, beta)
+                witness = _total_witness(formula.num_vars, out.model)
                 return _finish(branches, witness, hard_sets=hard_sets)
         hard_sets.append(HardSet(B, tuple(hard)))
 
@@ -224,10 +214,9 @@ def solve_with_backdoors(
     for gamma, out in map_branches(
         formula, union_set, merged, cfg, up_first=False, workers=workers
     ):
-        br = _branch_result(-1, branch_bits(union_set, gamma), gamma, out)
-        branches.append(br)
-        if br.verdict == SAT:
-            witness = _total_witness(formula.num_vars, br.model or {}, br.beta)
+        branches.append(_branch_result(-1, branch_bits(union_set, gamma), out))
+        if out.verdict == SAT:
+            witness = _total_witness(formula.num_vars, out.model)
             return _finish(branches, witness, vacuous=vacuous, hard_sets=hard_sets)
     return _finish(branches, None, vacuous=vacuous, hard_sets=hard_sets)
 

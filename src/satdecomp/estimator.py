@@ -11,6 +11,10 @@ accuracy epsilon at confidence 1 - delta.
 Estimates are carried as (mean, |B|) with a log2 view, so comparisons stay
 meaningful when 2^|B| overflows double precision: the value then saturates
 to infinity while the log2 view stays exact.
+
+There is one estimate, estimate_d_hardness. Every branch is probed by unit
+propagation first, and the estimate also reports easy_count, the observed
+branches that the probe decides, and rho from its first round.
 """
 from __future__ import annotations
 
@@ -127,8 +131,8 @@ class DHardnessEstimate:
     converged: bool
     exhaustive: bool
     sat_found: bool
+    easy_count: int  # observed branches that unit propagation decides
     witness: Assignment | None = None
-    easy_count: int | None = None
     rho: RhoEstimate | None = None  # of the first round; None once SAT is found
 
 
@@ -155,7 +159,10 @@ def branch_assignment(B: DecompositionSet, index: int) -> Assignment:
 
 def _branch_at(formula, B, index, **kwargs):
     beta = branch_assignment(B, index)
-    return beta, evaluate_branch(formula, beta, **kwargs)
+    out = evaluate_branch(formula, beta, **kwargs)
+    if out.model is not None:  # beta completes the residual's model
+        out.model.update(beta)
+    return beta, out
 
 
 def map_branches(
@@ -166,9 +173,12 @@ def map_branches(
     """Evaluate the branches of B at the given indices: (beta, outcome) pairs
     in the order given.
 
-    The one place a branch is evaluated. B and the formula must agree on
-    num_vars, which is checked at call time, before any branch. At one worker
-    the branches are built and evaluated lazily, so a caller may stop early.
+    The one place a branch is evaluated, and the one place a satisfiable
+    branch's witness is built: its outcome's model is the residual's model
+    with beta on top, a model of the formula itself. B and the formula must
+    agree on num_vars, which is checked at call time, before any branch. At
+    one worker the branches are built and evaluated lazily, so a caller may
+    stop early.
     """
     if B.num_vars != formula.num_vars:
         raise ValueError("decomposition set and formula disagree on num_vars")
@@ -295,10 +305,9 @@ class _Branches:
         """Evaluate the unseen branches among indices, in order of first
         appearance. Stops at a satisfiable branch, keeping its witness."""
         todo = [i for i in dict.fromkeys(indices) if i not in self.seen]
-        for i, (beta, out) in zip(todo, self.map(todo)):
+        for i, (_, out) in zip(todo, self.map(todo)):
             if out.verdict == SAT:
-                self.witness = dict(out.model)
-                self.witness.update(beta)
+                self.witness = out.model
                 return
             self.seen[i] = (workload(out, self.measure), out.tier == UP_DECIDED)
 
@@ -315,9 +324,28 @@ class _Branches:
         return costs, easy
 
 
-def _estimate(
-    formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig, report_easy: bool
+def estimate_d_hardness(
+    formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig | None = None
 ) -> DHardnessEstimate:
+    """Adaptive Monte Carlo estimate of 2^|B| times the mean branch workload.
+
+    The sample starts at cfg.initial_n observations and doubles (pooling
+    all observations) until the required-sample-size condition holds or
+    cfg.max_n is reached; exhaustive enumeration replaces sampling as soon
+    as 2^|B| fits the current sample size, giving the exact value. Each
+    distinct branch is evaluated once: repeated draws and the enumeration
+    reuse earlier observations. Any SAT branch aborts estimation with
+    sat_found set and a witness.
+
+    Every branch is probed by unit propagation first, and an undecided one
+    goes on into search on the same engine, so the workload is the plain
+    solver's. easy_count counts the observed branches that unit propagation
+    decides, repeated draws counted each time. The first round's probe
+    results give rho, the share of branches that unit propagation decides
+    (estimate_rho on the first draw). estimate_d_hardness_with_up_preprocessing
+    is this function under a second name, kept for the benchmark.
+    """
+    cfg = cfg or EstimatorConfig()
     b = len(B)
     branches = _Branches(formula, B, cfg)
     target = cfg.initial_n
@@ -345,42 +373,14 @@ def _estimate(
             return DHardnessEstimate(
                 stats, b, *_estimate_fields(stats, b),
                 converged=converged, exhaustive=exhaustive, sat_found=sat,
-                witness=branches.witness, easy_count=easy if report_easy else None,
+                witness=branches.witness, easy_count=easy,
                 rho=None if sat else rho,
             )
         target = min(2 * stats.n, cfg.max_n)
 
 
-def estimate_d_hardness(
-    formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig | None = None
-) -> DHardnessEstimate:
-    """Adaptive Monte Carlo estimate of 2^|B| times the mean branch workload.
-
-    The sample starts at cfg.initial_n observations and doubles (pooling
-    all observations) until the required-sample-size condition holds or
-    cfg.max_n is reached; exhaustive enumeration replaces sampling as soon
-    as 2^|B| fits the current sample size, giving the exact value. Each
-    distinct branch is evaluated once: repeated draws and the enumeration
-    reuse earlier observations. Any SAT branch aborts estimation with
-    sat_found set and a witness.
-
-    Every branch is probed by unit propagation first, and an undecided one
-    goes on into search on the same engine, so the workload is the plain
-    solver's. The first round's probe results give rho, the share of
-    branches that unit propagation decides (estimate_rho on the first draw).
-    This estimate and estimate_d_hardness_with_up_preprocessing are one
-    estimate: they differ only in easy_count, which this one leaves None.
-    """
-    return _estimate(formula, B, cfg or EstimatorConfig(), report_easy=False)
-
-
-def estimate_d_hardness_with_up_preprocessing(
-    formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig | None = None
-) -> DHardnessEstimate:
-    """estimate_d_hardness, also reporting easy_count: the observed branches
-    that unit propagation decides, repeated draws counted each time.
-    """
-    return _estimate(formula, B, cfg or EstimatorConfig(), report_easy=True)
+# the benchmark calls and traces the estimate under this name
+estimate_d_hardness_with_up_preprocessing = estimate_d_hardness
 
 
 def estimate_rho(

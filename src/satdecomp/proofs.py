@@ -24,7 +24,6 @@ from .solver import (
     UNDECIDED,
     UNSAT,
     UP_DECIDED,
-    BranchOutcome,
     DratProof,
     SolverConfig,
     check_drat,
@@ -183,19 +182,20 @@ def generate_proof_bundle(
     easy: list[Assignment] = []
     hard: list[Assignment] = []
     hard_proofs: list[str] = []
-    solved_sat = None  # first branch that search satisfies
+    solved_sat = None  # model of the first branch that search satisfies
     for beta, out in sweep_branches(formula, B, proof_cfg, workers=workers):
         if out.tier == UP_DECIDED:
             if out.verdict == SAT:
-                raise _sat_discovered(out, beta, B)
+                raise SatDiscovered(out.model, mask=B)
             easy.append(beta)
         elif out.verdict == SAT:
-            solved_sat = solved_sat or (out, beta)
+            if solved_sat is None:
+                solved_sat = out.model
         else:
             hard.append(beta)
             hard_proofs.append(out.proof.to_text())
     if solved_sat is not None:
-        raise _sat_discovered(*solved_sat, B)
+        raise SatDiscovered(solved_sat, mask=B)
 
     os.makedirs(out_dir, exist_ok=True)
     _write(out_dir, BASE_NAME, write_dimacs(formula))
@@ -229,14 +229,6 @@ def generate_proof_bundle(
         easy_count=len(easy),
         hard_count=len(hard),
     )
-
-
-def _sat_discovered(
-    out: BranchOutcome, beta: Assignment, B: DecompositionSet
-) -> SatDiscovered:
-    witness = dict(out.model)
-    witness.update(beta)
-    return SatDiscovered(witness, mask=B)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .estimator import (
     DecompositionSet,
     DHardnessEstimate,
     EstimatorConfig,
-    estimate_d_hardness_with_up_preprocessing,
+    estimate_d_hardness,
     mask_seed,
     sweep_branches,
 )
@@ -75,10 +75,9 @@ def variable_weights(formula: CnfFormula) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Reduced universe for backdoor search plus the weights that chose it."""
+    """Reduced universe for backdoor search: the variables of highest weight."""
 
     b0: DecompositionSet
-    weights: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.b0)
@@ -94,12 +93,8 @@ def reduce_search_space(formula: CnfFormula, m: int = 200) -> SearchSpace:
     if formula.num_vars == 0:
         raise ValueError("formula has no variables to search over")
     m = min(m, formula.num_vars)
-    weights = variable_weights(formula)
-    top = [v for v, _ in weights[:m]]
-    return SearchSpace(
-        b0=DecompositionSet.from_vars(top, formula.num_vars),
-        weights=tuple(weights),
-    )
+    top = [v for v, _ in variable_weights(formula)[:m]]
+    return SearchSpace(DecompositionSet.from_vars(top, formula.num_vars))
 
 
 class FitnessEvaluator:
@@ -125,7 +120,7 @@ class FitnessEvaluator:
         if hit is not None:
             return hit, False
         cfg = replace(self.cfg, seed=mask_seed(self.cfg.seed, B.mask))
-        est = estimate_d_hardness_with_up_preprocessing(self.formula, B, cfg)
+        est = estimate_d_hardness(self.formula, B, cfg)
         if est.sat_found:
             raise SatDiscovered(est.witness, mask=B)
         self._cache[B.mask] = est

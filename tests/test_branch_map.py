@@ -16,11 +16,10 @@ from satdecomp.estimator import (
     EstimatorConfig,
     compute_stats,
     estimate_d_hardness,
-    estimate_d_hardness_with_up_preprocessing,
     estimate_rho,
     sample_assignments,
 )
-from satdecomp.instances import sgen_style
+from satdecomp.instances import random_cnf, sgen_style
 from satdecomp.solver import UNDECIDED, evaluate_branch
 
 from conftest import dset
@@ -32,6 +31,9 @@ B6 = dset(range(1, 7), F.num_vars)  # 64 branches
 # 8 and then 16 draws of 32 branches repeat some, and the next doubling
 # (32) switches to enumeration; a tiny epsilon keeps it from converging
 SWITCH = EstimatorConfig(epsilon=1e-3, initial_n=8, max_n=64, seed=0)
+# satisfiable; search satisfies one of the first 8 draws over its B5
+SAT_F = random_cnf(20, 70, 3, seed=0)
+SAT_B5 = dset(range(1, 6), SAT_F.num_vars)
 
 
 def _untimed(verdict):
@@ -51,8 +53,8 @@ RUNS = {
     "estimate_d_hardness": lambda w: estimate_d_hardness(
         F, B5, dataclasses.replace(SWITCH, workers=w)
     ),
-    "estimate_with_up": lambda w: estimate_d_hardness_with_up_preprocessing(
-        F, B5, dataclasses.replace(SWITCH, workers=w)
+    "estimate_witness": lambda w: estimate_d_hardness(
+        SAT_F, SAT_B5, dataclasses.replace(SWITCH, workers=w)
     ),
     "solve_with_backdoors": _multi,
 }

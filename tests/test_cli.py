@@ -82,17 +82,6 @@ class TestEstimate:
         assert float(rc["value"]) == 3.0
         assert "converged" in rp and "converged" in rc
 
-    def test_no_up_flag(self, capsys, php43_path):
-        code, out, _ = run_cli(
-            capsys, "estimate", php43_path, "--backdoor", "1", "2", "3",
-            "--exhaustive", "--no-up",
-        )
-        rep = report_dict(out)
-        assert code == EXIT_OK
-        assert rep["up_preprocessing"] == "false"
-        assert float(rep["value"]) == 78.0
-        assert "easy_count" not in rep
-
     def test_sat_formula_reports_and_exits_10(self, capsys, sat_path):
         code, out, _ = run_cli(
             capsys, "estimate", sat_path, "--backdoor", "1", "--exhaustive",

@@ -12,7 +12,6 @@ from satdecomp.estimator import (
     branch_bits,
     compute_stats,
     estimate_d_hardness,
-    estimate_d_hardness_with_up_preprocessing,
     estimate_rho,
     exact_d_hardness,
     mask_seed,
@@ -216,12 +215,10 @@ class TestEstimate:
             return real(formula, beta)
 
         monkeypatch.setattr(satdecomp.solver, "substitute", counting)
-        for estimate in (estimate_d_hardness, estimate_d_hardness_with_up_preprocessing):
-            calls.clear()
-            est = estimate(f, B, cfg)
-            assert est.exhaustive and est.converged
-            assert est.value == exact
-            assert len(calls) == len(set(calls)) == 1024
+        est = estimate_d_hardness(f, B, cfg)
+        assert est.exhaustive and est.converged
+        assert est.value == exact
+        assert len(calls) == len(set(calls)) == 1024
 
     def test_backdoor_var_out_of_formula_rejected(self):
         f = CnfFormula(2, ((1, 2),))
@@ -233,9 +230,7 @@ class TestUpPreprocessing:
     def test_supbs_branches_all_easy(self):
         f = complete_contradiction(3)
         B = DecompositionSet.from_vars([1, 2], 3)
-        est = estimate_d_hardness_with_up_preprocessing(
-            f, B, EstimatorConfig(initial_n=4)
-        )
+        est = estimate_d_hardness(f, B, EstimatorConfig(initial_n=4))
         assert est.exhaustive
         assert est.easy_count == 4
 
@@ -243,9 +238,7 @@ class TestUpPreprocessing:
         f = pigeonhole(4, 3)
         vars_ = [1, 2, 3]
         B = DecompositionSet.from_vars(vars_, 12)
-        est = estimate_d_hardness_with_up_preprocessing(
-            f, B, EstimatorConfig(initial_n=8)
-        )
+        est = estimate_d_hardness(f, B, EstimatorConfig(initial_n=8))
         assert est.exhaustive
         assert est.value == brute_force_two_tier(f, vars_, "propagations")
 
@@ -255,17 +248,15 @@ class TestUpPreprocessing:
             B = DecompositionSet.from_vars(vars_, f.num_vars)
             for measure in ("propagations", "conflicts"):
                 cfg = EstimatorConfig(initial_n=1 << len(B), measure=measure)
-                plain = estimate_d_hardness(f, B, cfg)
-                tiered = estimate_d_hardness_with_up_preprocessing(f, B, cfg)
-                assert plain.exhaustive and tiered.exhaustive
-                assert plain.value == tiered.value, (name, measure)
+                tiered = estimate_d_hardness(f, B, cfg)
+                assert tiered.exhaustive
+                # exact_d_hardness solves every branch without the probe
+                assert tiered.value == exact_d_hardness(f, B, measure), (name, measure)
 
     def test_sat_witness_is_total(self):
         f = CnfFormula(2, ((1, 2),))
         B = DecompositionSet.from_vars([1], 2)
-        est = estimate_d_hardness_with_up_preprocessing(
-            f, B, EstimatorConfig(initial_n=2)
-        )
+        est = estimate_d_hardness(f, B, EstimatorConfig(initial_n=2))
         assert est.sat_found
         assert set(est.witness) == {1, 2}
 
@@ -361,14 +352,11 @@ def test_exhaustive_estimate_equals_exact(data):
 class TestEstimateOverflow:
     """2^|B| times the mean overflows a double once |B| passes about 1020."""
 
-    @pytest.mark.parametrize(
-        "estimator", [estimate_d_hardness, estimate_d_hardness_with_up_preprocessing]
-    )
-    def test_value_saturates_and_log2_stays_exact(self, estimator):
+    def test_value_saturates_and_log2_stays_exact(self):
         chain = conftest.implication_chain(50)
         f = CnfFormula(1150, chain.clauses)
         B = DecompositionSet.from_vars(range(51, 1151), 1150)
-        est = estimator(f, B, EstimatorConfig(initial_n=8, max_n=8))
+        est = estimate_d_hardness(f, B, EstimatorConfig(initial_n=8, max_n=8))
         assert not est.sat_found
         assert est.stats.n == 8 and est.stats.mean > 0
         assert est.value == math.inf

@@ -89,7 +89,6 @@ def outputs(name: str) -> dict[str, str]:
         sampled = ("--sample-size", "16", "--max-sample-size", "128")
         six = ("--backdoor", *_first(6, nv))
         run("estimate", "estimate", cnf, *six, *sampled)
-        run("estimate_no_up", "estimate", cnf, *six, *sampled, "--no-up")
         run("estimate_exhaustive_conflicts", "estimate", cnf,
             "--backdoor", *_first(3, nv), "--exhaustive", "--measure", "conflicts")
         for w in ("1", "2"):

@@ -21,7 +21,6 @@ from satdecomp.decompose import solve_with_backdoor, solve_with_backdoors
 from satdecomp.estimator import (
     EstimatorConfig,
     estimate_d_hardness,
-    estimate_d_hardness_with_up_preprocessing,
     exact_d_hardness,
 )
 from satdecomp.instances import pigeonhole, sgen_style, xor_ring
@@ -111,14 +110,12 @@ def compute_estimates():
     odd = dset(range(1, 17, 2), f10.num_vars)
     sampled = EstimatorConfig(initial_n=64, max_n=512, seed=3)
     switch = EstimatorConfig(initial_n=300, max_n=4096, epsilon=0.02, delta=0.05)
-    up = estimate_d_hardness_with_up_preprocessing
+    up = estimate_d_hardness
     return {
         "up_exhaustive_sgen6_1to8": _estimate_row(up(f6, dset(range(1, 9), 24))),
         "up_switch_sgen6_1to10": _estimate_row(up(f6, dset(range(1, 11), 24), switch)),
         "up_sampled_sgen10_wide": _estimate_row(up(f10, wide, sampled)),
-        "plain_sampled_sgen10_wide": _estimate_row(estimate_d_hardness(f10, wide, sampled)),
         "up_switch_sgen10_odd": _estimate_row(up(f10, odd, sampled)),
-        "plain_switch_sgen10_odd": _estimate_row(estimate_d_hardness(f10, odd, sampled)),
     }
 
 

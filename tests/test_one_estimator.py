@@ -1,10 +1,10 @@
-"""One estimator path: both estimator names probe every branch by unit
+"""One estimator: `estimate_d_hardness` probes every branch by unit
 propagation first, and the CLI evaluates each branch once.
 
-`estimate_d_hardness` and `estimate_d_hardness_with_up_preprocessing` run
-the same branch evaluations and differ only in whether easy_count is
-reported. The first round's probe results give rho, so the CLI `estimate`
-makes no kernel call beyond those of the library estimate.
+`estimate_d_hardness_with_up_preprocessing` is the same function under the
+name the benchmark calls, and the estimate always reports easy_count. The
+first round's probe results give rho, so the CLI `estimate` makes no kernel
+call beyond those of the library estimate.
 """
 import dataclasses
 import itertools
@@ -14,20 +14,13 @@ import pytest
 import satdecomp.estimator
 import satdecomp.parallel
 from satdecomp.cli import EXIT_ERROR, EXIT_OK, main
-from satdecomp.estimator import (
-    EstimatorConfig,
-    estimate_d_hardness,
-    estimate_d_hardness_with_up_preprocessing,
-    estimate_rho,
-)
+from satdecomp.estimator import EstimatorConfig, estimate_d_hardness, estimate_rho
 from satdecomp.formula import CnfFormula, write_dimacs
 from satdecomp.instances import pigeonhole, sgen_style
 from satdecomp.parallel import ordered_map
 from satdecomp.solver import evaluate_branch
 
 from conftest import dset
-
-ESTIMATORS = [estimate_d_hardness, estimate_d_hardness_with_up_preprocessing]
 
 # the first samples with repeats and may stop unconverged at max_n; the
 # second samples 8 and 16 draws, then enumerates once 2^|B| <= 32
@@ -37,42 +30,39 @@ CONFIGS = [
 ]
 
 
-def _agreement_key(est):
-    return est.stats, est.converged, est.exhaustive, est.sat_found
-
-
-def test_plain_and_up_estimates_agree_when_sampling(unsat_fixtures):
+def test_the_benchmark_name_is_the_estimate_and_easy_count_an_int(unsat_fixtures):
+    assert satdecomp.estimator.estimate_d_hardness_with_up_preprocessing is (
+        estimate_d_hardness
+    )
+    assert not hasattr(satdecomp, "estimate_d_hardness_with_up_preprocessing")
     sampled = switched = 0
     for name, f in unsat_fixtures:
         B = dset(range(1, min(5, f.num_vars) + 1), f.num_vars)
         for base, measure in itertools.product(CONFIGS, ["propagations", "conflicts"]):
             cfg = dataclasses.replace(base, measure=measure)
-            plain = estimate_d_hardness(f, B, cfg)
-            up = estimate_d_hardness_with_up_preprocessing(f, B, cfg)
-            assert _agreement_key(plain) == _agreement_key(up), (name, cfg)
-            assert plain.easy_count is None and up.easy_count is not None
-            sampled += not up.exhaustive
-            switched += up.exhaustive and (1 << len(B)) > cfg.initial_n
+            est = estimate_d_hardness(f, B, cfg)
+            assert type(est.easy_count) is int, (name, cfg)
+            assert 0 <= est.easy_count <= est.stats.n
+            sampled += not est.exhaustive
+            switched += est.exhaustive and (1 << len(B)) > cfg.initial_n
     assert sampled > 0 and switched > 0
 
 
 @pytest.mark.parametrize("width", [6, 5], ids=["sampled", "enumerated"])
-@pytest.mark.parametrize("estimate", ESTIMATORS, ids=lambda e: e.__name__)
-def test_rho_is_the_first_round_of_the_estimate(estimate, width):
+def test_rho_is_the_first_round_of_the_estimate(width):
     cfg = EstimatorConfig(epsilon=1e-3, initial_n=32, max_n=128, seed=7)
     for f in (sgen_style(4, seed=0), pigeonhole(4, 3)):
         B = dset(range(1, width + 1), f.num_vars)
-        est = estimate(f, B, cfg)
+        est = estimate_d_hardness(f, B, cfg)
         assert not est.sat_found
         assert est.rho == estimate_rho(f, B, cfg.initial_n, cfg.seed)
         assert est.rho.exhaustive == (width == 5)
 
 
-@pytest.mark.parametrize("estimate", ESTIMATORS, ids=lambda e: e.__name__)
-def test_a_branch_that_propagation_satisfies_gives_its_partial_witness(estimate):
+def test_a_branch_that_propagation_satisfies_gives_its_partial_witness():
     # x1 = 0 forces x2 and satisfies every clause, leaving x3 unassigned
     f = CnfFormula(3, ((1, 2), (-1, 3)))
-    est = estimate(f, dset([1], 3), EstimatorConfig(initial_n=2))
+    est = estimate_d_hardness(f, dset([1], 3), EstimatorConfig(initial_n=2))
     assert est.sat_found and est.rho is None
     assert est.witness == {1: 0, 2: 1}
     assert all(
@@ -92,9 +82,8 @@ def _counting(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("no_up", [False, True], ids=["up", "no_up"])
 def test_cli_estimate_makes_only_the_library_estimates_kernel_calls(
-    monkeypatch, capsys, tmp_path, no_up
+    monkeypatch, capsys, tmp_path
 ):
     f = sgen_style(4, seed=0)
     path = tmp_path / "sgen4.cnf"
@@ -103,18 +92,25 @@ def test_cli_estimate_makes_only_the_library_estimates_kernel_calls(
     calls = _counting(monkeypatch)
     argv = ["estimate", str(path), "--backdoor", *map(str, B.members),
             "--sample-size", "40", "--max-sample-size", "80", "--seed", "7"]
-    assert main(argv + ["--no-up"] * no_up) == EXIT_OK
+    assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     cli_calls = list(calls)
 
     calls.clear()
     cfg = EstimatorConfig(initial_n=40, max_n=80, seed=7)
-    estimate = estimate_d_hardness if no_up else estimate_d_hardness_with_up_preprocessing
-    est = estimate(f, B, cfg)
+    est = estimate_d_hardness(f, B, cfg)
     assert cli_calls == calls
     assert len(calls) == len({tuple(beta.items()) for beta in calls})
     assert f"rho_easy={est.rho.easy_count}\n" in out
-    assert ("easy_count=" in out) == (not no_up)
+    assert f"easy_count={est.easy_count}\n" in out
+    assert "up_preprocessing=true\n" in out
+
+
+def test_estimate_has_no_no_up_flag(tmp_path):
+    path = tmp_path / "php43.cnf"
+    path.write_text(write_dimacs(pigeonhole(4, 3)))
+    argv = ["estimate", str(path), "--backdoor", "1", "2", "3", "--no-up"]
+    assert main(argv) == EXIT_ERROR
 
 
 def test_find_backdoor_has_no_no_up_flag(tmp_path):

@@ -13,9 +13,10 @@ from satdecomp.estimator import (
     exact_d_hardness,
     sweep_branches,
 )
+from satdecomp.formula import CnfFormula
 from satdecomp.instances import pigeonhole
 from satdecomp.proofs import check_proof_bundle, generate_proof_bundle
-from satdecomp.solver import evaluate_branch
+from satdecomp.solver import SAT, evaluate_branch
 
 import conftest
 
@@ -35,6 +36,13 @@ class TestSweepBranches:
             assert (out.tier, out.verdict, out.propagations) == (
                 ref.tier, ref.verdict, ref.propagations
             )
+
+    def test_a_satisfiable_branch_carries_beta_in_its_model(self):
+        # x1 = 0 leaves the residual (x2), which propagation satisfies alone
+        f = CnfFormula(3, ((1, 2), (-1, 3)))
+        beta, out = next(sweep_branches(f, dset([1], 3)))
+        assert beta == {1: 0}
+        assert out.verdict == SAT and out.model == {1: 0, 2: 1}
 
     def test_checks_run_before_any_branch(self, monkeypatch):
         calls = []
