@@ -70,7 +70,6 @@ class BranchResult:
     propagations: int
     conflicts: int
     elapsed_s: float
-    model: Assignment | None = None
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,6 @@ def _branch_result(backdoor_id: int, bits: str, out: BranchOutcome) -> BranchRes
         out.propagations,
         out.conflicts,
         out.elapsed,
-        model=out.model,
     )
 
 

@@ -125,7 +125,6 @@ class RhoEstimate:
 @dataclass(frozen=True)
 class DHardnessEstimate:
     stats: SampleStats
-    b_size: int
     value: float
     log2_value: float
     converged: bool
@@ -196,20 +195,17 @@ def _check_cap(count: int) -> None:
 
 def sweep_branches(
     formula: CnfFormula, B: DecompositionSet, cfg: SolverConfig | None = None, *,
-    up_first: bool = True, search: bool = True, workers: int = 1,
+    search: bool = True, workers: int = 1,
 ) -> Iterator[tuple[Assignment, BranchOutcome]]:
     """Evaluate every branch of B: (beta, outcome) pairs in lexicographic order.
 
     The checked walk over a whole decomposition set: map_branches over all
-    2^|B| indices, refused at call time, before any branch, when 2^|B|
-    exceeds ENUMERATION_CAP.
+    2^|B| indices, each branch probed by unit propagation first, refused at
+    call time, before any branch, when 2^|B| exceeds ENUMERATION_CAP.
     """
     count = 1 << len(B)
     _check_cap(count)
-    return map_branches(
-        formula, B, range(count), cfg,
-        up_first=up_first, search=search, workers=workers,
-    )
+    return map_branches(formula, B, range(count), cfg, search=search, workers=workers)
 
 
 def branch_bits(B: DecompositionSet, beta: Assignment) -> str:
@@ -371,7 +367,7 @@ def estimate_d_hardness(
         )
         if sat or exhaustive or converged or stats.n >= cfg.max_n:
             return DHardnessEstimate(
-                stats, b, *_estimate_fields(stats, b),
+                stats, *_estimate_fields(stats, b),
                 converged=converged, exhaustive=exhaustive, sat_found=sat,
                 witness=branches.witness, easy_count=easy,
                 rho=None if sat else rho,
@@ -402,7 +398,4 @@ def exact_d_hardness(
     formula itself). Integer measures return an exact arbitrary-precision
     integer.
     """
-    return sum(
-        workload(out, measure)
-        for _, out in sweep_branches(formula, B, up_first=False)
-    )
+    return sum(workload(out, measure) for _, out in sweep_branches(formula, B))

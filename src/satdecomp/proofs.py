@@ -4,8 +4,9 @@ A proof bundle splits the refutation of a formula across the branches of a
 decomposition set: every branch unit propagation cannot refute gets its own
 DRAT proof, and the UP-refuted branches are batched into selector-encoded
 cube formulas, a fixed number of groups each proved unsatisfiable once.
-Checking re-derives every constituent formula from the base CNF, so a
-bundle cannot smuggle in a weaker claim than the one it advertises.
+Checking re-derives every constituent formula and the manifest itself from
+the base CNF, so a bundle cannot smuggle in a weaker claim than the one it
+advertises.
 """
 
 from __future__ import annotations
@@ -145,6 +146,15 @@ def _layout(
         yield unit, derived, comments + write_dimacs(derived)
 
 
+def _manifest(B: DecompositionSet, k_groups: int, units) -> str:
+    """The manifest text: three headers, then one row per unit in layout order."""
+    members = " ".join(str(v) for v in B.members)
+    text = f"# cnf\t{BASE_NAME}\n# backdoor\t{members}\n# groups\t{k_groups}\n"
+    for u in units:
+        text += f"{u.kind}\t{u.formula_file}\t{u.proof_file}\t{u.ref}\n"
+    return text
+
+
 def _write(out_dir: str, name: str, text: str) -> None:
     with open(os.path.join(out_dir, name), "wb") as fh:
         fh.write(text.encode())
@@ -171,8 +181,8 @@ def generate_proof_bundle(
     Hard branches (UP-undecided) are solved one by one with proof logging;
     easy branches are dealt round-robin, in lexicographic order, into
     k_groups cube groups, each proved unsatisfiable as one selector-encoded
-    formula. A satisfiable branch aborts the bundle, the first one decided
-    by unit propagation taking precedence over those found by search.
+    formula. The first satisfiable branch in lexicographic order aborts the
+    bundle, whether unit propagation or search decided it.
     `workers` widens both the branch evaluation and the group proofs.
     Deterministic file content for a fixed formula and decomposition set.
     """
@@ -182,20 +192,14 @@ def generate_proof_bundle(
     easy: list[Assignment] = []
     hard: list[Assignment] = []
     hard_proofs: list[str] = []
-    solved_sat = None  # model of the first branch that search satisfies
     for beta, out in sweep_branches(formula, B, proof_cfg, workers=workers):
+        if out.verdict == SAT:
+            raise SatDiscovered(out.model)
         if out.tier == UP_DECIDED:
-            if out.verdict == SAT:
-                raise SatDiscovered(out.model, mask=B)
             easy.append(beta)
-        elif out.verdict == SAT:
-            if solved_sat is None:
-                solved_sat = out.model
         else:
             hard.append(beta)
             hard_proofs.append(out.proof.to_text())
-    if solved_sat is not None:
-        raise SatDiscovered(solved_sat, mask=B)
 
     os.makedirs(out_dir, exist_ok=True)
     _write(out_dir, BASE_NAME, write_dimacs(formula))
@@ -216,11 +220,7 @@ def generate_proof_bundle(
             raise RuntimeError("cube group of refuted branches solved SAT")
         _write(out_dir, unit.proof_file, out.proof.to_text())
 
-    members = " ".join(str(v) for v in B.members)
-    manifest = f"# cnf\t{BASE_NAME}\n# backdoor\t{members}\n# groups\t{k_groups}\n"
-    for u in units:
-        manifest += f"{u.kind}\t{u.formula_file}\t{u.proof_file}\t{u.ref}\n"
-    _write(out_dir, MANIFEST_NAME, manifest)
+    _write(out_dir, MANIFEST_NAME, _manifest(B, k_groups, units))
     return ProofBundle(
         directory=out_dir,
         manifest_path=os.path.join(out_dir, MANIFEST_NAME),
@@ -246,22 +246,23 @@ class BundleCheck:
     reason: str | None = None
 
 
-def _fail(reason: str, units=()) -> BundleCheck:
-    return BundleCheck(ok=False, units=tuple(units), reason=reason)
+def _fail(reason: str) -> BundleCheck:
+    return BundleCheck(ok=False, units=(), reason=reason)
 
 
 def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCheck:
     """Verify a proof bundle from its manifest.
 
-    Re-derives the bundle layout from the base CNF and the recorded
-    decomposition set and holds the bundle to it: the base must be
-    `base.cnf`, each manifest row must name exactly its derived files (so
-    every read stays inside the bundle directory), each stored formula file
-    must equal its derived text byte for byte, and the manifest must list
-    each derived unit exactly once. Every proof is then checked by reverse
-    unit propagation against its derived formula. `formula`, when given,
-    must equal the bundle's base CNF. Running out of memory while deriving
-    or checking fails the check with a reason.
+    The manifest's headers give the decomposition set and the group count;
+    from them and the base CNF, which must be `base.cnf`, the checker
+    re-derives the bundle layout and holds the bundle to it. Each derived
+    unit's stored formula file must equal its derived text byte for byte,
+    and its proof is checked by reverse unit propagation against the derived
+    formula; only the derived file names are read, so every read stays
+    inside the bundle directory. Last, the manifest itself must equal the
+    derived manifest byte for byte. `formula`, when given, must equal the
+    bundle's base CNF. Running out of memory while deriving or checking
+    fails the check with a reason.
     """
     manifest_path = path
     if os.path.isdir(path):
@@ -270,42 +271,17 @@ def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCh
         return _fail(f"manifest not found: {manifest_path}")
     bundle_dir = os.path.dirname(manifest_path) or "."
 
-    headers: dict[str, str] = {}
-    rows: dict[tuple[str, str], ManifestUnit] = {}
     try:
-        with open(manifest_path) as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(manifest_path, "rb") as fh:
+            manifest = fh.read()
+    except OSError as exc:
         return _fail(f"manifest unreadable: {exc}")
-    for line_no, line in enumerate(lines, 1):
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].strip().split("\t")
-            if len(parts) != 2:
-                return _fail(f"malformed manifest header at line {line_no}")
-            if parts[0] not in ("cnf", "backdoor", "groups"):
-                return _fail(f"unknown manifest header key: {parts[0]}")
-            if parts[0] in headers:
-                return _fail(f"duplicate manifest header: {parts[0]}")
-            headers[parts[0]] = parts[1]
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            return _fail(f"malformed manifest unit at line {line_no}")
-        row = ManifestUnit(*fields)
-        if (row.kind, row.ref) in rows:
-            return _fail(f"duplicate unit {row.kind} {row.ref}")
-        rows[row.kind, row.ref] = row
-    if len(headers) != 3:
-        return _fail("manifest is missing a header line")
-    if headers["cnf"] != BASE_NAME:
-        return _fail(f"base formula must be {BASE_NAME}, not {headers['cnf']}")
     try:
-        backdoor_vars = [int(t) for t in headers["backdoor"].split()]
-        k_groups = int(headers["groups"])
-    except ValueError:
-        return _fail("malformed backdoor or groups header")
+        headers = dict(line.split("\t") for line in manifest.decode().split("\n")[:3])
+        backdoor_vars = [int(t) for t in headers["# backdoor"].split()]
+        k_groups = int(headers["# groups"])
+    except (ValueError, KeyError):
+        return _fail("malformed manifest header")
     if k_groups < 1:
         return _fail("group count must be positive")
 
@@ -328,40 +304,32 @@ def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCh
 
     easy: list[Assignment] = []
     hard: list[Assignment] = []
-    derived_keys: set[tuple[str, str]] = set()
-    checked: dict[tuple[str, str], UnitStatus] = {}
+    units: list[ManifestUnit] = []
+    statuses: list[UnitStatus] = []
     try:
         for beta, probe in sweep:
             if probe.verdict == SAT:
                 return _fail("a branch of the base formula is satisfiable")
             (hard if probe.tier == UNDECIDED else easy).append(beta)
         for unit, derived, text in _layout(base, B, k_groups, easy, hard):
-            key = (unit.kind, unit.ref)
-            derived_keys.add(key)
-            if key in rows:
-                checked[key] = _check_unit(bundle_dir, rows[key], unit, derived, text)
+            units.append(unit)
+            statuses.append(_check_unit(bundle_dir, unit, derived, text))
     except MemoryError:
         return _fail("out of memory deriving or checking the bundle")
-    statuses = tuple(
-        checked.get(key) or UnitStatus(*key, False, "not a unit of the derived bundle")
-        for key in rows
-    )
-    if not all(s.ok for s in statuses):
-        return BundleCheck(ok=False, units=statuses, reason="unit failure")
-    if set(rows) != derived_keys:
-        return _fail("manifest units do not cover the decomposition", statuses)
-    return BundleCheck(ok=True, units=statuses)
+    reason = None
+    if manifest != _manifest(B, k_groups, units).encode():
+        reason = "manifest differs from the derived one"
+    elif not all(s.ok for s in statuses):
+        reason = "unit failure"
+    return BundleCheck(ok=reason is None, units=tuple(statuses), reason=reason)
 
 
 def _check_unit(
-    bundle_dir: str, row: ManifestUnit, unit: ManifestUnit,
-    derived: CnfFormula, text: str,
+    bundle_dir: str, unit: ManifestUnit, derived: CnfFormula, text: str
 ) -> UnitStatus:
     def failed(reason: str) -> UnitStatus:
         return UnitStatus(unit.kind, unit.ref, False, reason)
 
-    if row != unit:
-        return failed(f"unit files must be {unit.formula_file} and {unit.proof_file}")
     try:
         stored = _read(bundle_dir, unit.formula_file)
     except OSError as exc:

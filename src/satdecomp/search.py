@@ -48,10 +48,9 @@ class SatDiscovered(Exception):
     model aborts whatever search or estimation was in flight.
     """
 
-    def __init__(self, witness, mask: DecompositionSet | None = None):
+    def __init__(self, witness):
         super().__init__("satisfying assignment discovered")
         self.witness = dict(witness) if witness else {}
-        self.mask = mask
 
 
 def variable_weights(formula: CnfFormula) -> list[tuple[int, int]]:
@@ -122,7 +121,7 @@ class FitnessEvaluator:
         cfg = replace(self.cfg, seed=mask_seed(self.cfg.seed, B.mask))
         est = estimate_d_hardness(self.formula, B, cfg)
         if est.sat_found:
-            raise SatDiscovered(est.witness, mask=B)
+            raise SatDiscovered(est.witness)
         self._cache[B.mask] = est
         self.fresh_evaluations += 1
         return est, True

@@ -1,6 +1,5 @@
 import itertools
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 import satdecomp
 from satdecomp.estimator import DecompositionSet, branch_assignment
-from satdecomp.formula import CnfFormula, substitute, write_dimacs
+from satdecomp.formula import CnfFormula, evaluate, substitute, write_dimacs
 from satdecomp.instances import complete_contradiction, pigeonhole
 from satdecomp.proofs import (
     BASE_NAME,
@@ -159,6 +158,15 @@ class TestGenerateBundle:
         f = CnfFormula(2, ((1, 2),))
         with pytest.raises(SatDiscovered):
             generate_proof_bundle(f, dset([1], 2), k_groups=2, out_dir=tmp_path)
+
+    def test_first_satisfiable_branch_in_order_aborts(self, tmp_path):
+        """Branch x1 = 0 is satisfiable by search, x1 = 1 by unit propagation;
+        the first in lexicographic order wins, whatever decided it."""
+        f = CnfFormula(3, ((1, 2, 3), (1, -2, 3)))
+        with pytest.raises(SatDiscovered) as exc:
+            generate_proof_bundle(f, dset([1], 3), out_dir=tmp_path)
+        assert exc.value.witness[1] == 0
+        assert evaluate(f, exc.value.witness)
 
     def test_branch_files_stand_alone(self, tmp_path):
         f = pigeonhole(4, 3)
@@ -354,19 +362,23 @@ class TestMutationDetection:
                 trials += 1
         assert trials >= 50
 
-    def test_unit_order_is_irrelevant(self, tmp_path):
+    def test_permuted_manifest_is_rejected(self, tmp_path):
+        """The unit rows have one order, the layout's; every other is refused."""
         f = pigeonhole(4, 3)
         B = dset([1, 2, 3, 4], 12)
         generate_proof_bundle(f, B, k_groups=2, out_dir=tmp_path)
         path = tmp_path / MANIFEST_NAME
         lines = path.read_text().splitlines()
-        headers = [l for l in lines if l.startswith("#")]
-        units = [l for l in lines if not l.startswith("#")]
-        rng = random.Random(9)
-        for _ in range(3):
-            rng.shuffle(units)
-            path.write_text("\n".join(headers + units) + "\n")
-            assert check_proof_bundle(tmp_path).ok
+        headers, units = lines[:3], lines[3:]
+        assert len(units) == 3
+        for order in itertools.permutations(units):
+            if list(order) == units:
+                continue
+            path.write_text("\n".join(headers + list(order)) + "\n")
+            chk = check_proof_bundle(tmp_path)
+            assert not chk.ok
+            assert chk.reason == "manifest differs from the derived one"
+            assert len(chk.units) == 3 and all(u.ok for u in chk.units)
 
     def test_checker_requires_manifest(self, tmp_path):
         chk = check_proof_bundle(tmp_path)
@@ -452,24 +464,27 @@ class TestHostileBundles:
         assert check_proof_bundle(d).ok
         manifest = d / MANIFEST_NAME
         manifest.write_text(header + "\n" + manifest.read_text())
-        chk = check_proof_bundle(d)
+        assert not check_proof_bundle(d).ok
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("# backdoor\t1 2 3 4\n", "# backdoor\t1  2 3 4\n"),
+            ("# backdoor\t1 2 3 4\n", "# backdoor\t+1 2 3 4\n"),
+            ("# groups\t2\n", "# groups\t02\n"),
+            ("# groups\t2\n", "# groups\t2 \n"),
+        ],
+        ids=["double_space", "plus_sign", "leading_zero", "trailing_space"],
+    )
+    def test_non_canonical_header_is_rejected(self, real, old, new):
+        """A header that names the same set and count in other bytes is refused."""
+        manifest = real / MANIFEST_NAME
+        text = manifest.read_text()
+        assert old in text
+        manifest.write_text(text.replace(old, new))
+        chk = check_proof_bundle(real)
         assert not chk.ok
-        key = header[2:].split("\t")[0]
-        assert chk.reason == f"duplicate manifest header: {key}"
-
-
-def _name_spans(manifest: bytes) -> list[tuple[int, int]]:
-    """Byte spans of the two file-name columns of every manifest unit row."""
-    spans, pos = [], 0
-    for line in manifest.split(b"\n"):
-        if line and not line.startswith(b"#"):
-            kind, cnf_name, drat_name, _ = line.split(b"\t")
-            start = pos + len(kind) + 1
-            spans.append((start, start + len(cnf_name)))
-            start += len(cnf_name) + 1
-            spans.append((start, start + len(drat_name)))
-        pos += len(line) + 1
-    return spans
+        assert chk.reason == "manifest differs from the derived one"
 
 
 @pytest.fixture(scope="module")
@@ -482,21 +497,18 @@ def pristine_bundle(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_one_byte_corruption_is_rejected(pristine_bundle, tmp_path_factory, data):
-    """Change, insert or delete one byte of a unit formula or manifest file name."""
-    units = sorted(
+    """Change, insert or delete one byte of a unit formula or of the manifest."""
+    names = sorted(
         n for n in os.listdir(pristine_bundle) if n.endswith(".cnf") and n != BASE_NAME
     )
-    targets = [(n, 0, (pristine_bundle / n).stat().st_size) for n in units]
-    manifest = (pristine_bundle / MANIFEST_NAME).read_bytes()
-    targets += [(MANIFEST_NAME, lo, hi) for lo, hi in _name_spans(manifest)]
-    name, lo, hi = data.draw(st.sampled_from(targets))
+    name = data.draw(st.sampled_from(names + [MANIFEST_NAME]))
     body = bytearray((pristine_bundle / name).read_bytes())
     op = data.draw(st.sampled_from(["change", "insert", "delete"]))
     if op == "insert":
-        at = data.draw(st.integers(lo, hi))
+        at = data.draw(st.integers(0, len(body)))
         body[at:at] = bytes([data.draw(st.integers(0, 255))])
     else:
-        at = data.draw(st.integers(lo, hi - 1))
+        at = data.draw(st.integers(0, len(body) - 1))
         if op == "delete":
             del body[at]
         else:
