@@ -8,7 +8,6 @@ decomposition, and certify unsatisfiability with split proof bundles.
 from .decompose import (
     BranchResult,
     DecomposedVerdict,
-    HardSet,
     simulate_parallel,
     solve_with_backdoor,
     solve_with_backdoors,

@@ -295,13 +295,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_estimation(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=0.1,
+    p.add_argument("--epsilon", type=float, default=EstimatorConfig.epsilon,
                    help="relative accuracy target")
-    p.add_argument("--delta", type=float, default=0.1,
+    p.add_argument("--delta", type=float, default=EstimatorConfig.delta,
                    help="failure probability bound")
-    p.add_argument("--sample-size", type=int, default=1000,
+    p.add_argument("--sample-size", type=int, default=EstimatorConfig.initial_n,
                    help="initial Monte Carlo batch size")
-    p.add_argument("--max-sample-size", type=int, default=100_000,
+    p.add_argument("--max-sample-size", type=int, default=EstimatorConfig.max_n,
                    help="sampling budget before giving up on convergence")
     p.add_argument("--measure", choices=sorted(_MEASURES), default="props",
                    help="branch workload measure")
@@ -329,13 +329,13 @@ def _build_parser() -> _Parser:
     p.add_argument("cnf", help="DIMACS CNF file")
     p.add_argument("--b0-size", type=int, default=200,
                    help="universe size kept by the weight heuristic")
-    p.add_argument("--init-size", type=int, default=30,
+    p.add_argument("--init-size", type=int, default=GaConfig.init_size,
                    help="cardinality of initial population masks")
-    p.add_argument("--elite", type=int, default=2,
+    p.add_argument("--elite", type=int, default=GaConfig.elites,
                    help="elites carried over each generation")
-    p.add_argument("--crossover", type=int, default=8,
+    p.add_argument("--crossover", type=int, default=GaConfig.crossover,
                    help="crossover offspring per generation")
-    p.add_argument("--mutation", type=int, default=6,
+    p.add_argument("--mutation", type=int, default=GaConfig.mutation,
                    help="mutation offspring per generation")
     p.add_argument("--time-limit-s", type=float, default=None,
                    help="wall-clock search budget in seconds")

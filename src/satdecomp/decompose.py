@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from .estimator import (
@@ -39,7 +40,6 @@ __all__ = [
     "UP_DECIDED",
     "CDCL",
     "BranchResult",
-    "HardSet",
     "DecomposedVerdict",
     "solve_with_backdoor",
     "solve_with_backdoors",
@@ -73,25 +73,15 @@ class BranchResult:
 
 
 @dataclass(frozen=True)
-class HardSet:
-    """Branches of one decomposition set that unit propagation cannot decide."""
-
-    backdoor: DecompositionSet
-    hard: tuple[Assignment, ...]
-
-
-@dataclass(frozen=True)
 class DecomposedVerdict:
     verdict: str
     witness: Assignment | None
     branches: tuple[BranchResult, ...]
     propagations: int
     conflicts: int
-    elapsed_s: float
     easy_count: int
     hard_count: int
     vacuous_count: int = 0
-    hard_sets: tuple[HardSet, ...] = ()
 
 
 def _total_witness(num_vars: int, model: Assignment) -> Assignment:
@@ -111,7 +101,7 @@ def _branch_result(backdoor_id: int, bits: str, out: BranchOutcome) -> BranchRes
     )
 
 
-def _finish(branches, witness, vacuous=0, hard_sets=()):
+def _finish(branches, witness, vacuous=0):
     if witness is not None:
         verdict = SAT
     elif any(b.verdict == LIMIT for b in branches):
@@ -124,11 +114,9 @@ def _finish(branches, witness, vacuous=0, hard_sets=()):
         branches=tuple(branches),
         propagations=sum(b.propagations for b in branches),
         conflicts=sum(b.conflicts for b in branches),
-        elapsed_s=sum(b.elapsed_s for b in branches),
         easy_count=sum(1 for b in branches if b.tier == UP_DECIDED),
         hard_count=sum(1 for b in branches if b.tier == CDCL),
         vacuous_count=vacuous,
-        hard_sets=tuple(hard_sets),
     )
 
 
@@ -178,7 +166,7 @@ def solve_with_backdoors(
     ]
 
     branches: list[BranchResult] = []
-    hard_sets: list[HardSet] = []
+    hard_lists: list[list[Assignment]] = []
     for bid, (B, sweep) in enumerate(zip(backdoors, sweeps)):
         hard: list[Assignment] = []
         for beta, out in sweep:
@@ -188,13 +176,10 @@ def solve_with_backdoors(
             branches.append(_branch_result(bid, branch_bits(B, beta), out))
             if out.verdict == SAT:
                 witness = _total_witness(formula.num_vars, out.model)
-                return _finish(branches, witness, hard_sets=hard_sets)
-        hard_sets.append(HardSet(B, tuple(hard)))
+                return _finish(branches, witness)
+        hard_lists.append(hard)
 
-    product_total = 1
-    for hs in hard_sets:
-        product_total *= len(hs.hard)
-    _check_cap(product_total)
+    _check_cap(math.prod(len(hard) for hard in hard_lists))
 
     union_mask = 0
     for B in backdoors:
@@ -203,7 +188,7 @@ def solve_with_backdoors(
 
     vacuous = 0
     merged = []  # indices of the nonvacuous merged branches over union_set
-    for parts in itertools.product(*(hs.hard for hs in hard_sets)):
+    for parts in itertools.product(*hard_lists):
         gamma = {v: val for part in parts for v, val in part.items()}
         if any(gamma[v] != val for part in parts for v, val in part.items()):
             vacuous += 1  # overlapping parts disagree: no assignment is covered
@@ -215,8 +200,8 @@ def solve_with_backdoors(
         branches.append(_branch_result(-1, branch_bits(union_set, gamma), out))
         if out.verdict == SAT:
             witness = _total_witness(formula.num_vars, out.model)
-            return _finish(branches, witness, vacuous=vacuous, hard_sets=hard_sets)
-    return _finish(branches, None, vacuous=vacuous, hard_sets=hard_sets)
+            return _finish(branches, witness, vacuous=vacuous)
+    return _finish(branches, None, vacuous=vacuous)
 
 
 def simulate_parallel(branch_costs, workers: int) -> float:

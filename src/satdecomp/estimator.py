@@ -382,10 +382,13 @@ estimate_d_hardness_with_up_preprocessing = estimate_d_hardness
 def estimate_rho(
     formula: CnfFormula, B: DecompositionSet, n: int = 10_000, seed: int = 0
 ) -> RhoEstimate:
-    """Fraction of branch formulas decided by unit propagation alone."""
+    """Fraction of branch formulas decided by unit propagation alone; each
+    distinct draw is probed once and counted as often as it is drawn."""
     indices, exhaustive = _draw(B, n, seed)
-    probes = map_branches(formula, B, indices, search=False)
-    decided = sum(1 for _, out in probes if out.tier != UNDECIDED)
+    distinct = list(dict.fromkeys(indices))
+    probes = map_branches(formula, B, distinct, search=False)
+    easy = {i for i, (_, out) in zip(distinct, probes) if out.tier != UNDECIDED}
+    decided = sum(1 for i in indices if i in easy)
     return RhoEstimate(decided / len(indices), len(indices), decided, exhaustive)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-Literal = int
 Clause = tuple[int, ...]
 Assignment = dict[int, int]
 
@@ -67,27 +66,19 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def is_trivially_unsat(self) -> bool:
-        return any(not cl for cl in self.clauses)
-
 
 def trivially_unsat(num_vars: int) -> CnfFormula:
     """Canonical trivially-unsatisfiable formula: a single empty clause."""
     return CnfFormula(num_vars, ((),))
 
 
-def parse_dimacs(text: str | bytes) -> CnfFormula:
+def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text into a validated CnfFormula.
 
     Accepts full-line comments (leading 'c') and requires a 'p cnf' header
     whose variable and clause counts match the content. Clauses may span
     lines; every clause must end with 0.
     """
-    if isinstance(text, (bytes, bytearray)):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CnfError(f"undecodable input: {exc}") from None
     header: tuple[int, int] | None = None
     tokens: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

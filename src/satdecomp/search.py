@@ -78,9 +78,6 @@ class SearchSpace:
 
     b0: DecompositionSet
 
-    def __len__(self) -> int:
-        return len(self.b0)
-
 
 def reduce_search_space(formula: CnfFormula, m: int = 200) -> SearchSpace:
     """Keep the m variables with the largest unit-propagation weights.
@@ -154,7 +151,6 @@ class GaResult:
     history: tuple[HistoryRecord, ...]
     generations: int
     evaluations: int
-    elapsed_s: float
 
 
 @dataclass(frozen=True)
@@ -340,7 +336,6 @@ def ga_minimize(
         history=tuple(history),
         generations=generation,
         evaluations=evaluator.fresh_evaluations,
-        elapsed_s=time.perf_counter() - start,
     )
 
 

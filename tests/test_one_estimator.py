@@ -8,6 +8,8 @@ call beyond those of the library estimate.
 """
 import dataclasses
 import itertools
+import time
+from functools import partial
 
 import pytest
 
@@ -143,3 +145,18 @@ def test_the_pool_has_no_more_workers_than_items(monkeypatch):
     monkeypatch.setattr(satdecomp.parallel, "ProcessPoolExecutor", _InProcessPool)
     assert list(ordered_map(abs, [-1, -2, -3], workers=64)) == [1, 2, 3]
     assert _InProcessPool.sizes == [3]
+
+
+def _sleep_and_mark(directory, i):
+    time.sleep(0.05)
+    (directory / f"item_{i}").touch()
+    return i
+
+
+def test_a_stopped_consumer_drops_queued_work(tmp_path):
+    results = ordered_map(partial(_sleep_and_mark, tmp_path), range(64), workers=2)
+    first = next(results)
+    results.close()
+    assert first == 0
+    # the pool is torn down once the consumer stops: queued items never run
+    assert len(list(tmp_path.iterdir())) < 64
