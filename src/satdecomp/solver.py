@@ -17,10 +17,14 @@ unit clauses for proof purposes.
 """
 from __future__ import annotations
 
+import gc
 import time
+from bisect import insort
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import itemgetter
 
-from .formula import Assignment, Clause, CnfFormula, check_assignment, substitute
+from .formula import Assignment, Clause, CnfFormula, check_assignment
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -109,6 +113,8 @@ class BranchOutcome:
     open and no search was asked for (verdict UNKNOWN then); `solve` always
     reports CDCL. model is the formula's model on SAT: the probe's partial
     assignment on the UP_DECIDED tier, a total one on the CDCL tier.
+    elapsed covers building the engine; for a branch that is the residual's
+    engine, copied from the formula's template and patched by beta.
     """
 
     tier: str
@@ -146,15 +152,69 @@ def _luby(i: int) -> int:
         # i was strictly between 2^(k-1)-1 and 2^k-1; recurse on the offset
 
 
+class _Template:
+    """A formula's clause database, built once and copied into each engine.
+
+    clauses are the formula's tuples; watches hold the ids of clauses of two
+    or more literals, on their first two literals, in clause order; units
+    are the (literal, id) pairs of unit clauses, in clause order. occurs
+    lists the ids of the clauses holding each literal, and index maps each
+    clause's sorted literals to its id, so an engine restricted by a branch
+    patches only the clauses the branch touches.
+    """
+
+    def __init__(self, formula: CnfFormula) -> None:
+        size = 2 * formula.num_vars + 2
+        self.clauses = formula.clauses
+        self.watches: list[list[int]] = [[] for _ in range(size)]
+        self.occurs: list[list[int]] = [[] for _ in range(size)]
+        self.units: list[tuple[int, int]] = []
+        self.index: dict[Clause, int] = {}
+        self.ok = True
+        for ci, cl in enumerate(self.clauses):
+            for lit in cl:
+                self.occurs[_widx(lit)].append(ci)
+            self.index[tuple(sorted(cl))] = ci
+            if not cl:
+                self.ok = False
+            elif len(cl) == 1:
+                self.units.append((cl[0], ci))
+            else:
+                self.watches[_widx(cl[0])].append(ci)
+                self.watches[_widx(cl[1])].append(ci)
+
+
+# the template of the formula object last given to an engine, found by
+# identity since hashing a CnfFormula walks every clause; holding the
+# formula keeps another object from reusing its identity
+_cached: tuple[CnfFormula, _Template] | None = None
+
+
+def _template(formula: CnfFormula) -> _Template:
+    global _cached
+    if _cached is None or _cached[0] is not formula:
+        _cached = (formula, _Template(formula))
+    return _cached[1]
+
+
 class _Engine:
     """CDCL core of full solving, the propagate-only probe, closure sizes
-    and the RUP checker."""
+    and the RUP checker.
 
-    def __init__(self, formula: CnfFormula, cfg: SolverConfig) -> None:
+    Its clause and watch lists are copies of the formula's template. With a
+    beta, the engine is that of substitute(formula, beta), clause ids kept:
+    a clause the residual drops is a dead slot (None) that no watch list or
+    unit names, so propagation, search and proofs run as on the residual.
+    """
+
+    def __init__(
+        self, formula: CnfFormula, cfg: SolverConfig, beta: Assignment | None = None
+    ) -> None:
+        t = _template(formula)
         nv = formula.num_vars
         self.nv = nv
-        self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * nv + 2)]
+        self.clauses: list[list[int] | None] = list(map(list, t.clauses))
+        self.watches: list[list[int]] = list(map(list.copy, t.watches))
         self.assigns: list[int] = [_UNSET] * (nv + 1)
         self.levels: list[int] = [0] * (nv + 1)
         self.reasons: list[int | None] = [None] * (nv + 1)
@@ -166,20 +226,64 @@ class _Engine:
         self.propagations = 0
         self.conflicts = 0
         self.proof: list[tuple[str, Clause]] | None = [] if cfg.proof_logging else None
-        self.ok = True
-        self._init_units: list[tuple[int, int]] = []
-        for cl in formula.clauses:
-            ci = len(self.clauses)
-            lits = list(cl)
-            self.clauses.append(lits)
+        self.ok = t.ok
+        self._init_units = t.units.copy()
+        self.n_original = len(t.clauses)
+        if beta:
+            self._restrict(t, beta)
+
+    def _restrict(self, t: _Template, beta: Assignment) -> None:
+        """Patch the clauses beta touches as substitute does: a satisfied
+        clause dies, a shortened one keeps its other literals in order and
+        is watched on its new first two, and of clauses that end up equal
+        the first survives. A clause left empty makes ok False, which is
+        all a trivially unsatisfiable engine reads."""
+        clauses = self.clauses
+        watches = self.watches
+        tclauses = t.clauses
+        satisfied: set[int] = set()
+        shortened: set[int] = set()
+        for v, val in beta.items():
+            w = 2 * v + 1 - val  # _widx of v's true literal; w ^ 1 is its false one
+            satisfied.update(t.occurs[w])
+            shortened.update(t.occurs[w ^ 1])
+            # every clause on v's two watch lists is touched
+            watches[w] = []
+            watches[w ^ 1] = []
+        shortened -= satisfied
+        seen: set[Clause] = set()
+        kept = []
+        killed = []
+        for ci in sorted(shortened):
+            lits = [lit for lit in tclauses[ci] if abs(lit) not in beta]
             if not lits:
                 self.ok = False
-            elif len(lits) == 1:
-                self._init_units.append((lits[0], ci))
+                return
+            key = tuple(sorted(lits))
+            first = t.index.get(key, ci)  # an untouched clause with these literals
+            if key in seen or first < ci:
+                continue
+            seen.add(key)
+            if first != ci:
+                killed.append(first)
+            kept.append((ci, lits))
+        for ci in chain(satisfied, shortened, killed):
+            clauses[ci] = None
+            cl = tclauses[ci]
+            if len(cl) > 1:
+                for lit in cl[:2]:
+                    if abs(lit) not in beta:
+                        watches[_widx(lit)].remove(ci)
+        units = []
+        for ci, lits in kept:
+            clauses[ci] = lits
+            if len(lits) == 1:
+                units.append((lits[0], ci))
             else:
-                self.watches[_widx(lits[0])].append(ci)
-                self.watches[_widx(lits[1])].append(ci)
-        self.n_original = len(self.clauses)
+                insort(watches[_widx(lits[0])], ci)
+                insort(watches[_widx(lits[1])], ci)
+        units += [u for u in t.units if clauses[u[1]] is not None]
+        self._init_units = sorted(units, key=itemgetter(1))
 
     def _enqueue(self, lit: int, reason: int | None) -> None:
         v = lit if lit > 0 else -lit
@@ -293,8 +397,10 @@ class _Engine:
 
     def all_clauses_satisfied(self) -> bool:
         assigns = self.assigns
-        for ci in range(self.n_original):
-            for lit in self.clauses[ci]:
+        for cl in islice(self.clauses, self.n_original):
+            if cl is None:
+                continue
+            for lit in cl:
                 v = lit if lit > 0 else -lit
                 a = assigns[v]
                 if a != _UNSET and (a == 1) == (lit > 0):
@@ -452,6 +558,12 @@ def evaluate_branch(
 ) -> BranchOutcome:
     """Evaluate the branch formula substitute(formula, beta) on one engine.
 
+    The engine is copied from the formula's template, built by the first
+    engine of a formula object, and only the clauses beta touches are
+    patched; substitute itself is not called. The cyclic garbage collector
+    is off during the call, restored after it: the engine's lists die by
+    reference count. The outcome's elapsed includes building the residual.
+
     With up_first, root propagation classifies the branch first: a conflict
     or a satisfied closure decides it on the UP_DECIDED tier with zero
     conflicts. An undecided branch goes on into CDCL search on the same
@@ -462,7 +574,14 @@ def evaluate_branch(
     """
     if not (up_first or search):
         raise ValueError("a branch evaluation needs the probe or the search")
-    return _run(substitute(formula, beta), {}, cfg, up_first=up_first, search=search)
+    check_assignment(formula, beta)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(formula, {}, cfg, beta=beta, up_first=up_first, search=search)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _run(
@@ -470,14 +589,16 @@ def _run(
     assumptions: Assignment,
     cfg: SolverConfig | None,
     *,
+    beta: Assignment | None = None,
     up_first: bool,
     search: bool,
 ) -> BranchOutcome:
-    """One engine: preload the assumptions, then probe and/or search."""
+    """One engine, restricted by beta: preload the assumptions, then probe
+    and/or search."""
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
-    eng = _Engine(formula, cfg)
+    eng = _Engine(formula, cfg, beta)
     assigns = eng.assigns
     tier = CDCL
     if not eng.preload(assumptions):
@@ -566,9 +687,9 @@ class _RupChecker(_Engine):
 
     def __init__(self, formula: CnfFormula) -> None:
         super().__init__(formula, SolverConfig())
-        self.index: dict[tuple[int, ...], list[int]] = {}
-        for ci, cl in enumerate(formula.clauses):
-            self.index.setdefault(tuple(sorted(cl)), []).append(ci)
+        self.index: dict[Clause, list[int]] = {
+            key: [ci] for key, ci in _template(formula).index.items()
+        }
         self.conflict = not self.preload({})
 
     def rup(self, cl: Clause) -> bool:

@@ -1,10 +1,10 @@
 """The branch kernel against the two-call reference path.
 
-evaluate_branch substitutes once, without validating the residual again,
-and runs root propagation once on one engine. The reference rebuilds the
-same state with the public functions: propagate_only(residual) and then,
-on an undecided branch, solve(residual, cfg). Everything they report must
-agree exactly.
+evaluate_branch builds the residual's engine once, copied from the
+formula's template, and runs root propagation once on it. The reference
+rebuilds the same state with the public functions: propagate_only(residual)
+and then, on an undecided branch, solve(residual, cfg). Everything they
+report must agree exactly.
 """
 import pytest
 from hypothesis import given, settings

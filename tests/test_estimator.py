@@ -20,7 +20,7 @@ from satdecomp.estimator import (
 )
 from satdecomp.formula import CnfFormula
 from satdecomp.instances import complete_contradiction, pigeonhole, sgen_style
-import satdecomp.solver
+import satdecomp.estimator
 from satdecomp.solver import solve
 
 import conftest
@@ -208,13 +208,13 @@ class TestEstimate:
         cfg = EstimatorConfig(initial_n=300, max_n=4096, epsilon=0.02, delta=0.05)
         exact = exact_d_hardness(f, B)
         calls = []
-        real = satdecomp.solver.substitute
+        real = satdecomp.estimator.evaluate_branch
 
-        def counting(formula, beta):
+        def counting(formula, beta, *args, **kwargs):
             calls.append(tuple(sorted(beta.items())))
-            return real(formula, beta)
+            return real(formula, beta, *args, **kwargs)
 
-        monkeypatch.setattr(satdecomp.solver, "substitute", counting)
+        monkeypatch.setattr(satdecomp.estimator, "evaluate_branch", counting)
         est = estimate_d_hardness(f, B, cfg)
         assert est.exhaustive and est.converged
         assert est.value == exact
