@@ -164,6 +164,12 @@ def _branch_at(formula, B, index, **kwargs):
     return beta, out
 
 
+def _branch_fn(formula: CnfFormula, B: DecompositionSet, **kwargs):
+    if B.num_vars != formula.num_vars:
+        raise ValueError("decomposition set and formula disagree on num_vars")
+    return partial(_branch_at, formula, B, **kwargs)
+
+
 def map_branches(
     formula: CnfFormula, B: DecompositionSet, indices: Sequence[int],
     cfg: SolverConfig | None = None, up_first: bool = True, search: bool = True,
@@ -175,13 +181,11 @@ def map_branches(
     The one place a branch is evaluated, and the one place a satisfiable
     branch's witness is built: its outcome's model is the residual's model
     with beta on top, a model of the formula itself. B and the formula must
-    agree on num_vars, which is checked at call time, before any branch. At
-    one worker the branches are built and evaluated lazily, so a caller may
-    stop early.
+    agree on num_vars, and workers must be positive: both are checked at call
+    time. Only indices and (beta, outcome) pairs cross to the call's one
+    pool; at one worker branches run lazily, so a caller may stop early.
     """
-    if B.num_vars != formula.num_vars:
-        raise ValueError("decomposition set and formula disagree on num_vars")
-    run = partial(_branch_at, formula, B, cfg=cfg, up_first=up_first, search=search)
+    run = _branch_fn(formula, B, cfg=cfg, up_first=up_first, search=search)
     return parallel.ordered_map(run, indices, workers)
 
 
@@ -289,11 +293,9 @@ class _Branches:
     the switch from sampling to enumeration reuse work already done.
     """
 
-    def __init__(
-        self, formula: CnfFormula, B: DecompositionSet, cfg: EstimatorConfig
-    ) -> None:
-        self.map = partial(map_branches, formula, B, workers=cfg.workers)
-        self.measure = cfg.measure
+    def __init__(self, run, measure: str) -> None:
+        self.map = run  # index list -> (beta, outcome) pairs, in order
+        self.measure = measure
         self.seen: dict[int, tuple[int | float, bool]] = {}  # index -> (cost, easy)
         self.witness: Assignment | None = None
 
@@ -331,7 +333,7 @@ def estimate_d_hardness(
     as 2^|B| fits the current sample size, giving the exact value. Each
     distinct branch is evaluated once: repeated draws and the enumeration
     reuse earlier observations. Any SAT branch aborts estimation with
-    sat_found set and a witness.
+    sat_found set and a witness. One pool serves all rounds.
 
     Every branch is probed by unit propagation first, and an undecided one
     goes on into search on the same engine, so the workload is the plain
@@ -343,36 +345,37 @@ def estimate_d_hardness(
     """
     cfg = cfg or EstimatorConfig()
     b = len(B)
-    branches = _Branches(formula, B, cfg)
-    target = cfg.initial_n
-    rho = None
-    while True:
-        drawn, exhaustive = _draw(B, target, cfg.seed)
-        if exhaustive:
-            _check_cap(len(drawn))
-        branches.evaluate(drawn)
-        # the estimate over the observed prefix of the draw; a satisfiable
-        # branch makes it neither converged nor exhaustive
-        observations, easy = branches.observed(drawn)
-        stats = (
-            compute_stats(observations) if observations else SampleStats(0, 0.0, 0.0)
-        )
-        sat = branches.witness is not None
-        if rho is None and not sat:  # the first round, observed in full
-            rho = RhoEstimate(easy / len(drawn), len(drawn), easy, exhaustive)
-        exhaustive = exhaustive and not sat
-        # a zero mean needs a sample of 1, so it counts as converged
-        converged = not sat and (
-            exhaustive or stats.n >= required_sample_size(stats, cfg.epsilon, cfg.delta)
-        )
-        if sat or exhaustive or converged or stats.n >= cfg.max_n:
-            return DHardnessEstimate(
-                stats, *_estimate_fields(stats, b),
-                converged=converged, exhaustive=exhaustive, sat_found=sat,
-                witness=branches.witness, easy_count=easy,
-                rho=None if sat else rho,
+    with parallel.Pool(_branch_fn(formula, B), cfg.workers) as pool:
+        branches = _Branches(pool.map, cfg.measure)
+        target = cfg.initial_n
+        rho = None
+        while True:
+            drawn, exhaustive = _draw(B, target, cfg.seed)
+            if exhaustive:
+                _check_cap(len(drawn))
+            branches.evaluate(drawn)
+            # the estimate over the observed prefix of the draw; a satisfiable
+            # branch makes it neither converged nor exhaustive
+            observations, easy = branches.observed(drawn)
+            stats = (
+                compute_stats(observations) if observations else SampleStats(0, 0.0, 0.0)
             )
-        target = min(2 * stats.n, cfg.max_n)
+            sat = branches.witness is not None
+            if rho is None and not sat:  # the first round, observed in full
+                rho = RhoEstimate(easy / len(drawn), len(drawn), easy, exhaustive)
+            exhaustive = exhaustive and not sat
+            # a zero mean needs a sample of 1, so it counts as converged
+            converged = not sat and (
+                exhaustive or stats.n >= required_sample_size(stats, cfg.epsilon, cfg.delta)
+            )
+            if sat or exhaustive or converged or stats.n >= cfg.max_n:
+                return DHardnessEstimate(
+                    stats, *_estimate_fields(stats, b),
+                    converged=converged, exhaustive=exhaustive, sat_found=sat,
+                    witness=branches.witness, easy_count=easy,
+                    rho=None if sat else rho,
+                )
+            target = min(2 * stats.n, cfg.max_n)
 
 
 # the benchmark calls and traces the estimate under this name

@@ -1,33 +1,60 @@
-"""Order-preserving map over an optional process pool.
+"""Order-preserving maps over a process pool that lives for one call.
 
-Workers speed up independent solver launches; results are always consumed
-in submission order, so aggregate outcomes never depend on completion
-order. Worker count 1 bypasses the pool entirely.
+Results are consumed in input order, so aggregate outcomes never depend on
+completion order. Worker count 1 makes no pool: fn runs in process, lazily.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterator, Sequence, TypeVar
+from contextlib import AbstractContextManager
+from typing import Callable, Iterator, Sequence
 
-T = TypeVar("T")
-R = TypeVar("R")
+_fn = None  # in a worker process: the function of the pool it serves
 
 
-def ordered_map(
-    fn: Callable[[T], R], items: Sequence[T], workers: int = 1
-) -> Iterator[R]:
-    """Yield fn(item) in input order, using a process pool when workers > 1.
+def _install(fn) -> None:
+    global _fn
+    _fn = fn
 
-    fn and items must be picklable when workers > 1. The pool is torn down
-    eagerly if the consumer stops early, cancelling unconsumed work.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or len(items) <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    chunksize = max(1, len(items) // (workers * 4))
-    # the pool starts all its processes at once, so none beyond the items
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        yield from pool.map(fn, items, chunksize=chunksize)
+
+def _call(item):
+    return _fn(item)
+
+
+class Pool(AbstractContextManager):
+    """Maps fn over item lists in input order; exit cancels queued work and
+    joins the workers. They start on the first map of more than one item,
+    one per item up to `workers`, and get fn once, from the initializer
+    (inherited under fork, pickled under spawn or forkserver), so only items
+    and results cross the process boundary. All must be picklable."""
+
+    def __init__(self, fn: Callable, workers: int = 1) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.fn, self.workers, self._executor = fn, workers, None
+
+    def __exit__(self, *exc) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+
+    def map(self, items: Sequence) -> Iterator:
+        if self._executor is None:
+            if self.workers == 1 or len(items) <= 1:
+                return map(self.fn, items)
+            self._executor = ProcessPoolExecutor(
+                min(self.workers, len(items)), initializer=_install, initargs=(self.fn,)
+            )
+        chunksize = max(1, len(items) // (self.workers * 4))
+        return self._executor.map(_call, items, chunksize=chunksize)
+
+
+def ordered_map(fn: Callable, items: Sequence, workers: int = 1) -> Iterator:
+    """Yield fn(item) in input order through a Pool opened for this map
+    alone, refusing workers < 1 at call time. The pool is torn down once
+    the consumer stops, cancelling unconsumed work."""
+    return _drain(Pool(fn, workers), items)
+
+
+def _drain(pool: Pool, items: Sequence) -> Iterator:
+    with pool:
+        yield from pool.map(items)

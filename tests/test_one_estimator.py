@@ -123,18 +123,18 @@ def test_find_backdoor_has_no_no_up_flag(tmp_path):
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+    """Stands in for ProcessPoolExecutor: records its size, runs the
+    initializer and maps in process."""
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
     def map(self, fn, items, chunksize=1):
         return map(fn, items)
