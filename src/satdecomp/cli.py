@@ -289,12 +289,12 @@ def cmd_check(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for branch-parallel stages")
 
 
 def _add_estimation(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
     p.add_argument("--epsilon", type=float, default=EstimatorConfig.epsilon,
                    help="relative accuracy target")
     p.add_argument("--delta", type=float, default=EstimatorConfig.delta,

@@ -3,9 +3,9 @@
 A decomposition set B splits a formula into 2^|B| branch formulas, each
 first probed by unit propagation and escalated to CDCL search on the same
 engine only when the probe leaves it undecided. Several sets combine
-through the Cartesian product of their undecided branches. Branch workloads are
-observed identically to the hardness estimator, so decomposed totals line
-up with estimates to the last propagation.
+through the Cartesian product of their undecided branches, again probed
+first. Branch workloads are observed identically to the hardness estimator,
+so decomposed totals line up with estimates to the last propagation.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .formula import Assignment, CnfFormula
 from .solver import (
     CDCL,
     LIMIT,
+    PROBE_ONLY,
     SAT,
-    UNDECIDED,
     UNKNOWN,
     UNSAT,
     UP_DECIDED,
@@ -148,10 +148,11 @@ def solve_with_backdoors(
 ) -> DecomposedVerdict:
     """Decide a formula through several decomposition sets at once.
 
-    Every branch of every set is classified by unit propagation; the
-    undecided ones form per-set hard lists whose Cartesian product is then
-    solved branch by branch. Sets may overlap: a product element whose
-    parts contradict each other covers no assignment and is skipped,
+    Every branch of every set is classified by unit propagation (PROBE_ONLY);
+    the undecided ones form per-set hard lists whose Cartesian product is
+    then evaluated branch by branch, probe first, so a merged branch that
+    propagation decides counts as easy. Sets may overlap: a product element
+    whose parts contradict each other covers no assignment and is skipped,
     counted as vacuous. Unsatisfiable iff every easy branch and every
     nonvacuous merged branch is; UNKNOWN when a merged branch hits
     cfg.conflict_limit and none is satisfiable. Each set, before any is
@@ -162,7 +163,7 @@ def solve_with_backdoors(
         raise ValueError("need at least one decomposition set")
     # every set is checked before any is probed
     sweeps = [
-        sweep_branches(formula, B, search=False, workers=workers) for B in backdoors
+        sweep_branches(formula, B, PROBE_ONLY, workers=workers) for B in backdoors
     ]
 
     branches: list[BranchResult] = []
@@ -170,7 +171,7 @@ def solve_with_backdoors(
     for bid, (B, sweep) in enumerate(zip(backdoors, sweeps)):
         hard: list[Assignment] = []
         for beta, out in sweep:
-            if out.tier == UNDECIDED:
+            if out.tier != UP_DECIDED:
                 hard.append(beta)
                 continue
             branches.append(_branch_result(bid, branch_bits(B, beta), out))
@@ -194,9 +195,7 @@ def solve_with_backdoors(
             vacuous += 1  # overlapping parts disagree: no assignment is covered
         else:
             merged.append(int(branch_bits(union_set, gamma), 2))
-    for gamma, out in map_branches(
-        formula, union_set, merged, cfg, up_first=False, workers=workers
-    ):
+    for gamma, out in map_branches(formula, union_set, merged, cfg, workers=workers):
         branches.append(_branch_result(-1, branch_bits(union_set, gamma), out))
         if out.verdict == SAT:
             witness = _total_witness(formula.num_vars, out.model)

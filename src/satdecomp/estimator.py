@@ -31,8 +31,8 @@ from .formula import Assignment, CnfFormula
 from .solver import (
     MEASURES,
     PROPAGATIONS,
+    PROBE_ONLY,
     SAT,
-    UNDECIDED,
     UP_DECIDED,
     BranchOutcome,
     SolverConfig,
@@ -156,27 +156,27 @@ def branch_assignment(B: DecompositionSet, index: int) -> Assignment:
     return {v: (index >> (m - 1 - i)) & 1 for i, v in enumerate(members)}
 
 
-def _branch_at(formula, B, index, **kwargs):
+def _branch_at(formula, B, cfg, index):
     beta = branch_assignment(B, index)
-    out = evaluate_branch(formula, beta, **kwargs)
+    out = evaluate_branch(formula, beta, cfg)
     if out.model is not None:  # beta completes the residual's model
         out.model.update(beta)
     return beta, out
 
 
-def _branch_fn(formula: CnfFormula, B: DecompositionSet, **kwargs):
+def _branch_fn(formula: CnfFormula, B: DecompositionSet, cfg=None):
     if B.num_vars != formula.num_vars:
         raise ValueError("decomposition set and formula disagree on num_vars")
-    return partial(_branch_at, formula, B, **kwargs)
+    return partial(_branch_at, formula, B, cfg)
 
 
 def map_branches(
     formula: CnfFormula, B: DecompositionSet, indices: Sequence[int],
-    cfg: SolverConfig | None = None, up_first: bool = True, search: bool = True,
-    workers: int = 1,
+    cfg: SolverConfig | None = None, workers: int = 1,
 ) -> Iterator[tuple[Assignment, BranchOutcome]]:
     """Evaluate the branches of B at the given indices: (beta, outcome) pairs
-    in the order given.
+    in the order given. Each branch is probed by unit propagation and then
+    searched within cfg's conflict limit; PROBE_ONLY gives the probe alone.
 
     The one place a branch is evaluated, and the one place a satisfiable
     branch's witness is built: its outcome's model is the residual's model
@@ -185,8 +185,7 @@ def map_branches(
     time. Only indices and (beta, outcome) pairs cross to the call's one
     pool; at one worker branches run lazily, so a caller may stop early.
     """
-    run = _branch_fn(formula, B, cfg=cfg, up_first=up_first, search=search)
-    return parallel.ordered_map(run, indices, workers)
+    return parallel.ordered_map(_branch_fn(formula, B, cfg), indices, workers)
 
 
 def _check_cap(count: int) -> None:
@@ -199,17 +198,17 @@ def _check_cap(count: int) -> None:
 
 def sweep_branches(
     formula: CnfFormula, B: DecompositionSet, cfg: SolverConfig | None = None, *,
-    search: bool = True, workers: int = 1,
+    workers: int = 1,
 ) -> Iterator[tuple[Assignment, BranchOutcome]]:
     """Evaluate every branch of B: (beta, outcome) pairs in lexicographic order.
 
     The checked walk over a whole decomposition set: map_branches over all
-    2^|B| indices, each branch probed by unit propagation first, refused at
-    call time, before any branch, when 2^|B| exceeds ENUMERATION_CAP.
+    2^|B| indices, refused at call time, before any branch, when 2^|B|
+    exceeds ENUMERATION_CAP.
     """
     count = 1 << len(B)
     _check_cap(count)
-    return map_branches(formula, B, range(count), cfg, search=search, workers=workers)
+    return map_branches(formula, B, range(count), cfg, workers=workers)
 
 
 def branch_bits(B: DecompositionSet, beta: Assignment) -> str:
@@ -385,12 +384,12 @@ estimate_d_hardness_with_up_preprocessing = estimate_d_hardness
 def estimate_rho(
     formula: CnfFormula, B: DecompositionSet, n: int = 10_000, seed: int = 0
 ) -> RhoEstimate:
-    """Fraction of branch formulas decided by unit propagation alone; each
-    distinct draw is probed once and counted as often as it is drawn."""
+    """Fraction of branch formulas decided by unit propagation (PROBE_ONLY);
+    each distinct draw is probed once and counted as often as it is drawn."""
     indices, exhaustive = _draw(B, n, seed)
     distinct = list(dict.fromkeys(indices))
-    probes = map_branches(formula, B, distinct, search=False)
-    easy = {i for i, (_, out) in zip(distinct, probes) if out.tier != UNDECIDED}
+    probes = map_branches(formula, B, distinct, PROBE_ONLY)
+    easy = {i for i, (_, out) in zip(distinct, probes) if out.tier == UP_DECIDED}
     decided = sum(1 for i in indices if i in easy)
     return RhoEstimate(decided / len(indices), len(indices), decided, exhaustive)
 

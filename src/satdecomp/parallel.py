@@ -5,6 +5,9 @@ completion order. Worker count 1 makes no pool: fn runs in process, lazily.
 """
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import AbstractContextManager
 from typing import Callable, Iterator, Sequence
@@ -15,6 +18,14 @@ _fn = None  # in a worker process: the function of the pool it serves
 def _install(fn) -> None:
     global _fn
     _fn = fn
+    parent = multiprocessing.parent_process()
+    if parent is not None:  # end with the parent, also one killed before it joins
+        threading.Thread(target=_exit_after, args=(parent,), daemon=True).start()
+
+
+def _exit_after(parent) -> None:
+    parent.join()  # returns once the parent process is gone
+    os._exit(1)
 
 
 def _call(item):

@@ -21,8 +21,8 @@ from .formula import Assignment, CnfFormula, parse_dimacs, substitute, write_dim
 from .parallel import ordered_map
 from .search import SatDiscovered
 from .solver import (
+    PROBE_ONLY,
     SAT,
-    UNDECIDED,
     UNSAT,
     UP_DECIDED,
     DratProof,
@@ -296,7 +296,7 @@ def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCh
 
     try:
         B = DecompositionSet.from_vars(backdoor_vars, base.num_vars)
-        sweep = sweep_branches(base, B, search=False)
+        sweep = sweep_branches(base, B, PROBE_ONLY)
     except ValueError as exc:
         return _fail(f"invalid backdoor header: {exc}")
     if len(B) == 0:
@@ -310,7 +310,7 @@ def check_proof_bundle(path: str, formula: CnfFormula | None = None) -> BundleCh
         for beta, probe in sweep:
             if probe.verdict == SAT:
                 return _fail("a branch of the base formula is satisfiable")
-            (hard if probe.tier == UNDECIDED else easy).append(beta)
+            (easy if probe.tier == UP_DECIDED else hard).append(beta)
         for unit, derived, text in _layout(base, B, k_groups, easy, hard):
             units.append(unit)
             statuses.append(_check_unit(bundle_dir, unit, derived, text))

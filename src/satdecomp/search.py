@@ -23,7 +23,7 @@ from .estimator import (
     sweep_branches,
 )
 from .formula import CnfFormula
-from .solver import UNDECIDED, closure_sizes
+from .solver import PROBE_ONLY, UP_DECIDED, closure_sizes
 
 __all__ = [
     "SearchSpace",
@@ -371,7 +371,7 @@ def find_minimum_sbs(formula: CnfFormula) -> DecompositionSet | None:
     for k in range(nv + 1):
         for combo in itertools.combinations(range(1, nv + 1), k):
             B = DecompositionSet.from_vars(combo, nv)
-            probes = sweep_branches(formula, B, search=False)
-            if all(out.tier != UNDECIDED for _, out in probes):
+            probes = sweep_branches(formula, B, PROBE_ONLY)
+            if all(out.tier == UP_DECIDED for _, out in probes):
                 return B
     return None

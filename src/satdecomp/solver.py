@@ -57,8 +57,12 @@ class SolverConfig:
     conflict_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.conflict_limit is not None and self.conflict_limit < 1:
-            raise ValueError("conflict_limit must be positive")
+        if self.conflict_limit is not None and self.conflict_limit < 0:
+            raise ValueError("conflict_limit must be nonnegative")
+
+
+# a zero conflict budget: the branch kernel probes and searches no further
+PROBE_ONLY = SolverConfig(conflict_limit=0)
 
 
 @dataclass
@@ -109,10 +113,11 @@ class PropagateResult:
 class BranchOutcome:
     """The outcome of `solve` or of one `evaluate_branch` call.
 
-    tier is UP_DECIDED, CDCL, or UNDECIDED when the probe left the branch
-    open and no search was asked for (verdict UNKNOWN then); `solve` always
-    reports CDCL. model is the formula's model on SAT: the probe's partial
-    assignment on the UP_DECIDED tier, a total one on the CDCL tier.
+    tier is UP_DECIDED when root unit propagation decides the branch (zero
+    conflicts), CDCL otherwise; `solve` always reports CDCL. Under PROBE_ONLY
+    an open branch stops after the probe: CDCL, LIMIT, zero conflicts. model
+    is the formula's model on SAT: the probe's partial assignment on the
+    UP_DECIDED tier, a total one on the CDCL tier.
     elapsed covers building the engine; for a branch that is the residual's
     engine, copied from the formula's template and patched by beta.
     """
@@ -509,6 +514,8 @@ class _Engine:
         budget = _RESTART_BASE * _luby(restart_num)
         since_restart = 0
         while True:
+            if conflict_limit is not None and self.conflicts >= conflict_limit:
+                return LIMIT
             confl = self.propagate()
             if confl >= 0:
                 if not self.trail_lim:
@@ -519,8 +526,6 @@ class _Engine:
                 since_restart += 1
                 learnt, bt = self.analyze(confl)
                 self.learn(learnt, bt)
-                if conflict_limit is not None and self.conflicts >= conflict_limit:
-                    return LIMIT
                 if since_restart >= budget:
                     since_restart = 0
                     restart_num += 1
@@ -545,16 +550,16 @@ def solve(
     """
     asm = dict(assumptions) if assumptions else {}
     check_assignment(formula, asm)
-    return _run(formula, asm, cfg, up_first=False, search=True)
+    out = _run(formula, asm, cfg)
+    if out.tier == UP_DECIDED and out.verdict == SAT:
+        # search would decide each open variable false and propagate nothing
+        out.model = {v: out.model.get(v, 0) for v in range(1, formula.num_vars + 1)}
+    out.tier = CDCL
+    return out
 
 
 def evaluate_branch(
-    formula: CnfFormula,
-    beta: Assignment,
-    cfg: SolverConfig | None = None,
-    *,
-    up_first: bool = True,
-    search: bool = True,
+    formula: CnfFormula, beta: Assignment, cfg: SolverConfig | None = None
 ) -> BranchOutcome:
     """Evaluate the branch formula substitute(formula, beta) on one engine.
 
@@ -564,21 +569,18 @@ def evaluate_branch(
     is off during the call, restored after it: the engine's lists die by
     reference count. The outcome's elapsed includes building the residual.
 
-    With up_first, root propagation classifies the branch first: a conflict
-    or a satisfied closure decides it on the UP_DECIDED tier with zero
-    conflicts. An undecided branch goes on into CDCL search on the same
-    engine (or stops with tier UNDECIDED when search is False). Without
-    up_first the branch is simply solved. Either way the verdicts, models,
+    Root propagation classifies the branch first: a conflict or a satisfied
+    closure decides it on the UP_DECIDED tier with zero conflicts. An open
+    branch goes on into CDCL search on the same engine, within
+    cfg.conflict_limit; PROBE_ONLY stops it at once. The verdicts, models,
     proofs and counters equal those of propagate_only(residual) followed by
-    solve(residual, cfg=cfg), or of solve(residual, cfg=cfg) alone.
+    solve(residual, cfg=cfg).
     """
-    if not (up_first or search):
-        raise ValueError("a branch evaluation needs the probe or the search")
     check_assignment(formula, beta)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(formula, {}, cfg, beta=beta, up_first=up_first, search=search)
+        return _run(formula, {}, cfg, beta)
     finally:
         if enabled:
             gc.enable()
@@ -588,38 +590,27 @@ def _run(
     formula: CnfFormula,
     assumptions: Assignment,
     cfg: SolverConfig | None,
-    *,
     beta: Assignment | None = None,
-    up_first: bool,
-    search: bool,
 ) -> BranchOutcome:
-    """One engine, restricted by beta: preload the assumptions, then probe
-    and/or search."""
+    """One engine, restricted by beta: preload the assumptions, probe by
+    unit propagation, then search what the probe leaves open."""
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
     eng = _Engine(formula, cfg, beta)
-    assigns = eng.assigns
-    tier = CDCL
     if not eng.preload(assumptions):
-        verdict = UNSAT
+        tier, verdict = UP_DECIDED, UNSAT
         if eng.proof is not None:
             eng.proof.append(("add", ()))
-        if up_first:
-            tier = UP_DECIDED
-    elif up_first and eng.all_clauses_satisfied():
-        model = {v: assigns[v] for v in range(1, eng.nv + 1) if assigns[v] != _UNSET}
-        elapsed = time.perf_counter() - t0
-        return BranchOutcome(UP_DECIDED, SAT, eng.propagations, 0, elapsed, model)
-    elif not search:
-        elapsed = time.perf_counter() - t0
-        return BranchOutcome(UNDECIDED, UNKNOWN, eng.propagations, 0, elapsed)
+    elif eng.all_clauses_satisfied():
+        tier, verdict = UP_DECIDED, SAT
     else:
-        verdict = eng.search(cfg.conflict_limit)
+        tier, verdict = CDCL, eng.search(cfg.conflict_limit)
     elapsed = time.perf_counter() - t0
     model = None
-    if verdict == SAT:
-        model = {v: assigns[v] for v in range(1, eng.nv + 1)}
+    if verdict == SAT:  # the probe's partial assignment or search's total one
+        assigns = eng.assigns
+        model = {v: assigns[v] for v in range(1, eng.nv + 1) if assigns[v] != _UNSET}
     proof = None
     if verdict == UNSAT and eng.proof is not None:
         proof = DratProof(tuple(eng.proof))

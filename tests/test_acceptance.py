@@ -462,10 +462,7 @@ def test_criterion_11_deterministic_reports(tmp_path):
     checked += 1
 
     led1, led2 = tmp_path / "l1.csv", tmp_path / "l2.csv"
-    base = [
-        "solve", str(cnf), "--backdoor", "1", "2", "--backdoor", "2", "3",
-        "--seed", "4",
-    ]
+    base = ["solve", str(cnf), "--backdoor", "1", "2", "--backdoor", "2", "3"]
     (rc1, out1) = _run_cli(base + ["--out", str(led1)])
     (rc2, out2) = _run_cli(base + ["--out", str(led2)])
     assert rc1 == rc2 == 20

@@ -1,24 +1,26 @@
 """The branch kernel against the two-call reference path.
 
 evaluate_branch builds the residual's engine once, copied from the
-formula's template, and runs root propagation once on it. The reference
-rebuilds the same state with the public functions: propagate_only(residual)
-and then, on an undecided branch, solve(residual, cfg). Everything they
-report must agree exactly.
+formula's template, runs root propagation once on it and searches on from
+there within the conflict limit; a zero limit (PROBE_ONLY) stops after the
+probe. The reference rebuilds the same state with the public functions:
+propagate_only(residual) and then, on an undecided branch,
+solve(residual, cfg). Everything they report must agree exactly.
 """
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satdecomp.formula import CnfFormula, substitute
+from satdecomp.formula import CnfFormula, evaluate, substitute
 from satdecomp.instances import pigeonhole
 from satdecomp.solver import (
     CDCL,
     DECIDED_SAT,
     DECIDED_UNSAT,
+    LIMIT,
+    PROBE_ONLY,
     SAT,
     UNDECIDED,
-    UNKNOWN,
     UNSAT,
     UP_DECIDED,
     SolverConfig,
@@ -94,27 +96,36 @@ def test_up_first_matches_probe_then_solve(name, fa):
 @settings(max_examples=75, deadline=None)
 @given(fa=branches)
 def test_plain_matches_solve(name, fa):
+    # solve runs the kernel too; it reports CDCL and a total model, the
+    # probe's partial one with every open variable decided false
     f, beta = fa
     cfg = CONFIGS[name]
-    out = solve(substitute(f, beta), cfg=cfg)
-    got = evaluate_branch(f, beta, cfg, up_first=False)
-    assert got.tier == CDCL
-    assert (got.verdict, got.propagations, got.conflicts, got.model) == (
-        out.verdict, out.propagations, out.conflicts, out.model
+    residual = substitute(f, beta)
+    out = solve(residual, cfg=cfg)
+    got = evaluate_branch(f, beta, cfg)
+    assert out.tier == CDCL
+    assert (out.verdict, out.propagations, out.conflicts) == (
+        got.verdict, got.propagations, got.conflicts
     )
-    assert got.proof == out.proof
+    assert out.proof == got.proof
+    if out.verdict == SAT:
+        assert sorted(out.model) == list(range(1, f.num_vars + 1))
+        assert out.model == {v: got.model.get(v, 0) for v in out.model}
+        assert evaluate(residual, out.model)
+    else:
+        assert out.model is got.model is None
 
 
-@settings(max_examples=75, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(fa=branches)
 def test_probe_only_matches_propagate_only(fa):
     f, beta = fa
     probe = propagate_only(substitute(f, beta))
-    got = evaluate_branch(f, beta, search=False)
+    got = evaluate_branch(f, beta, PROBE_ONLY)
     assert got.propagations == probe.propagations
     assert got.conflicts == 0
     if probe.status == UNDECIDED:
-        assert (got.tier, got.verdict, got.model) == (UNDECIDED, UNKNOWN, None)
+        assert (got.tier, got.verdict, got.model) == (CDCL, LIMIT, None)
     else:
         assert got.tier == UP_DECIDED
         assert got.verdict == (SAT if probe.status == DECIDED_SAT else UNSAT)
@@ -130,12 +141,14 @@ def test_substitute_output_revalidates_equal(fa):
     assert hash(rebuilt) == hash(r)
 
 
-def test_search_needs_a_tier():
-    with pytest.raises(ValueError):
-        evaluate_branch(pigeonhole(3, 2), {1: 1}, up_first=False, search=False)
-
-
 def test_conflict_limit_reaches_search():
     f = pigeonhole(4, 3)
     out = evaluate_branch(f, {}, SolverConfig(conflict_limit=1))
-    assert (out.tier, out.verdict, out.conflicts) == (CDCL, "LIMIT", 1)
+    assert (out.tier, out.verdict, out.conflicts) == (CDCL, LIMIT, 1)
+    out = evaluate_branch(f, {}, PROBE_ONLY)
+    assert (out.tier, out.verdict, out.conflicts) == (CDCL, LIMIT, 0)
+
+
+def test_negative_conflict_limit_is_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        SolverConfig(conflict_limit=-1)

@@ -20,7 +20,8 @@ from satdecomp.estimator import (
     sample_assignments,
 )
 from satdecomp.instances import random_cnf, sgen_style
-from satdecomp.solver import UNDECIDED, evaluate_branch
+from satdecomp.formula import substitute
+from satdecomp.solver import PROBE_ONLY, UP_DECIDED, evaluate_branch, solve
 
 from conftest import dset
 
@@ -100,7 +101,7 @@ def test_estimators_see_the_branches_of_sample_assignments(monkeypatch, B):
     seen = _recording(monkeypatch)
 
     est = estimate_d_hardness(F, B, EstimatorConfig(initial_n=n, max_n=n, seed=seed))
-    costs = [evaluate_branch(F, beta, up_first=False).propagations for beta in betas]
+    costs = [solve(substitute(F, beta)).propagations for beta in betas]
     assert est.stats == compute_stats(costs)
     assert est.exhaustive == draw.exhaustive
     # each distinct branch is evaluated once, in order of first draw
@@ -109,8 +110,8 @@ def test_estimators_see_the_branches_of_sample_assignments(monkeypatch, B):
 
     seen.clear()
     rho = estimate_rho(F, B, n, seed)
-    probes = [evaluate_branch(F, beta, search=False) for beta in betas]
-    assert rho.easy_count == sum(1 for out in probes if out.tier != UNDECIDED)
+    probes = [evaluate_branch(F, beta, PROBE_ONLY) for beta in betas]
+    assert rho.easy_count == sum(1 for out in probes if out.tier == UP_DECIDED)
     assert (rho.n, rho.exhaustive) == (len(betas), draw.exhaustive)
     # each distinct drawn branch is probed once, in order of first draw
     assert seen == list(distinct.values())

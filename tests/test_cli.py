@@ -199,8 +199,8 @@ class TestSolve:
         rep = report_dict(out)
         assert rep["backdoor_0"] == "1 2"
         assert rep["backdoor_1"] == "2 3"
-        assert rep["easy_count"] == "2"
-        assert rep["hard_count"] == "5"
+        assert rep["easy_count"] == "4"
+        assert rep["hard_count"] == "3"
         assert rep["vacuous_count"] == "4"
 
     def test_ledger_csv_written(self, capsys, php43_path, tmp_path):
@@ -233,6 +233,17 @@ class TestProveAndCheck:
         code, _, err = run_cli(capsys, "check", "bundle", flag, "2")
         assert code == EXIT_ERROR
         assert flag in err
+
+    @pytest.mark.parametrize("command", ["solve", "prove"])
+    def test_solve_and_prove_take_no_seed(self, capsys, php43_path, tmp_path, command):
+        code, out, err = run_cli(
+            capsys, command, php43_path, "--backdoor", "1", "2",
+            "--out", str(tmp_path / "out"), "--seed", "1",
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "unrecognized arguments: --seed 1" in err
+        assert not (tmp_path / "out").exists()
 
     def test_round_trip(self, capsys, php43_path, tmp_path):
         bundle = tmp_path / "bundle"

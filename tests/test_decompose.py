@@ -16,9 +16,19 @@ from satdecomp.decompose import (
 )
 from satdecomp.estimator import DecompositionSet, exact_d_hardness
 from satdecomp.formula import CnfFormula, evaluate, substitute
-from satdecomp.instances import pigeonhole, random_cnf, xor_ring
+from satdecomp.instances import pigeonhole, random_cnf, sgen_style, xor_ring
 from satdecomp.search import reduce_search_space
-from satdecomp.solver import LIMIT, SAT, UNKNOWN, UNSAT, SolverConfig, propagate_only, solve
+from satdecomp.solver import (
+    LIMIT,
+    PROBE_ONLY,
+    SAT,
+    UNKNOWN,
+    UNSAT,
+    SolverConfig,
+    evaluate_branch,
+    propagate_only,
+    solve,
+)
 
 from oracles import all_branches, truth_table_verdict
 
@@ -128,18 +138,42 @@ class TestMultiBackdoor:
         r = solve_with_backdoors(f, [dset(b1, 20), dset(b2, 20)])
         assert r.verdict == UNSAT
         assert [8 - sum(b.backdoor_id == i for b in r.branches) for i in (0, 1)] == sizes
-        assert r.hard_count + r.vacuous_count == sizes[0] * sizes[1]
+        merged = sum(b.backdoor_id == -1 for b in r.branches)
+        assert merged + r.vacuous_count == sizes[0] * sizes[1]
 
     def test_overlapping_pair_counts_pinned(self):
         f = pigeonhole(4, 3)
         r = solve_with_backdoors(f, [dset([1, 2], 12), dset([2, 3], 12)])
         assert r.verdict == UNSAT
-        assert r.easy_count == 2
-        assert r.hard_count == 5
+        assert r.easy_count == 4
+        assert r.hard_count == 3
         assert r.vacuous_count == 4
         merged = [b for b in r.branches if b.backdoor_id == -1]
-        assert len(merged) == 5
-        assert all(b.tier == CDCL for b in merged)
+        assert [(b.beta_bits, b.tier) for b in merged] == [
+            ("000", UP_DECIDED), ("001", CDCL), ("010", CDCL), ("100", CDCL),
+            ("101", UP_DECIDED),
+        ]
+
+    @pytest.mark.parametrize("f, sets", [
+        (pigeonhole(4, 3), [[1, 2], [2, 3]]),
+        (pigeonhole(5, 4), [[1, 2, 3], [5, 6, 7]]),
+        (pigeonhole(5, 4), [[1, 2, 3], [2, 3, 4]]),
+        (sgen_style(4, seed=0), [[1, 2, 3], [3, 4, 5]]),
+    ], ids=["php43", "php54_disjoint", "php54_overlap", "sgen4"])
+    def test_merged_rows_are_probed_first(self, f, sets):
+        # a merged row reports the zero-budget tier of its branch, and the
+        # verdict and counters of solving the branch formula outright
+        r = solve_with_backdoors(f, [dset(vs, f.num_vars) for vs in sets])
+        union = sorted({v for vs in sets for v in vs})
+        merged = [b for b in r.branches if b.backdoor_id == -1]
+        assert merged
+        for b in merged:
+            gamma = {v: int(bit) for v, bit in zip(union, b.beta_bits)}
+            assert b.tier == evaluate_branch(f, gamma, PROBE_ONLY).tier
+            out = solve(substitute(f, gamma))
+            assert (b.verdict, b.propagations, b.conflicts) == (
+                out.verdict, out.propagations, out.conflicts
+            )
 
     def test_sat_discovery_short_circuits(self):
         f = CnfFormula(2, ((1, 2),))

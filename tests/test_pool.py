@@ -9,8 +9,10 @@ it returns, whether it converged, stopped on a satisfiable branch or raised.
 import dataclasses
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -118,3 +120,54 @@ def test_two_spawned_workers_give_the_one_worker_result():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "spawn\n"
+
+
+ORPHANS = """
+import multiprocessing, sys, time
+sys.path[:0] = sys.argv[1:]
+from satdecomp.parallel import Pool
+
+def nap(i):
+    time.sleep(60)
+    return i
+
+if __name__ == "__main__":
+    with Pool(nap, 2) as pool:
+        results = pool.map([0, 1, 2, 3])
+        print(*sorted(p.pid for p in multiprocessing.active_children()), flush=True)
+        list(results)
+"""
+
+
+def _alive(pid):
+    """True while pid runs; a zombie waiting to be reaped counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_no_worker_outlives_a_killed_parent():
+    parent = subprocess.Popen(
+        [sys.executable, "-c", ORPHANS, os.path.join(ROOT, "src")],
+        stdout=subprocess.PIPE, text=True,
+    )
+    workers = []
+    try:
+        workers = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(workers) == 2
+        parent.kill()  # SIGKILL: no exit handler or join runs
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        parent.kill()
+        parent.wait(timeout=10)
+        parent.stdout.close()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -16,7 +16,7 @@ from satdecomp.estimator import (
 from satdecomp.formula import CnfFormula
 from satdecomp.instances import pigeonhole
 from satdecomp.proofs import check_proof_bundle, generate_proof_bundle
-from satdecomp.solver import SAT, evaluate_branch
+from satdecomp.solver import PROBE_ONLY, SAT, evaluate_branch
 
 import conftest
 
@@ -29,10 +29,10 @@ class TestSweepBranches:
     def test_pairs_in_lexicographic_order(self):
         f = pigeonhole(3, 2)
         B = dset([2, 5, 6], f.num_vars)
-        pairs = list(sweep_branches(f, B, search=False))
+        pairs = list(sweep_branches(f, B, PROBE_ONLY))
         assert [beta for beta, _ in pairs] == [branch_assignment(B, i) for i in range(8)]
         for beta, out in pairs:
-            ref = evaluate_branch(f, beta, search=False)
+            ref = evaluate_branch(f, beta, PROBE_ONLY)
             assert (out.tier, out.verdict, out.propagations) == (
                 ref.tier, ref.verdict, ref.propagations
             )
@@ -70,7 +70,7 @@ class TestSweepBranches:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(satdecomp.estimator, "evaluate_branch", counting)
-        sweep = sweep_branches(f, dset(range(1, 11), 12), search=False)
+        sweep = sweep_branches(f, dset(range(1, 11), 12), PROBE_ONLY)
         assert seen == []
         next(sweep)
         assert len(seen) == 1
@@ -131,11 +131,12 @@ def test_the_one_cap_is_read_at_call_time(name, bundle, monkeypatch):
     real = satdecomp.estimator.evaluate_branch
 
     def recording(*args, **kwargs):
-        calls.append(kwargs["search"])
+        calls.append(args[2].conflict_limit)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(satdecomp.estimator, "evaluate_branch", recording)
     monkeypatch.setattr(satdecomp.estimator, "ENUMERATION_CAP", 8)
     assert run(bundle).endswith(f"{count} branches exceed the enumeration cap 8")
-    # only the product is refused after branches run: both sets' probes
-    assert calls == [False] * probes
+    # only the product is refused after branches run: both sets' probes,
+    # each under a zero conflict budget
+    assert calls == [0] * probes

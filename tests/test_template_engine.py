@@ -22,6 +22,7 @@ from satdecomp.solver import (
     UP_DECIDED,
     SolverConfig,
     evaluate_branch,
+    solve,
 )
 
 from test_branch_kernel import CONFIGS, kernel_row, reference
@@ -86,8 +87,10 @@ def test_shortened_clause_replaces_later_duplicate():
 def test_emptied_clause_is_trivially_unsat():
     f = CnfFormula(3, ((2, 3), (1,), (-2, 3)))
     assert substitute(f, {1: 0}).clauses == ((),)
-    for up_first, tier in ((True, UP_DECIDED), (False, CDCL)):
-        out = evaluate_branch(f, {1: 0}, SolverConfig(proof_logging=True), up_first=up_first)
+    cfg = SolverConfig(proof_logging=True)
+    kernel = evaluate_branch(f, {1: 0}, cfg)
+    plain = solve(substitute(f, {1: 0}), cfg=cfg)
+    for out, tier in ((kernel, UP_DECIDED), (plain, CDCL)):
         assert (out.tier, out.verdict, out.propagations, out.conflicts, out.model) == (
             tier, UNSAT, 0, 0, None
         )
