@@ -21,7 +21,7 @@ import gc
 import time
 from bisect import insort
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 
 from .formula import Assignment, Clause, CnfFormula, check_assignment
@@ -119,7 +119,8 @@ class BranchOutcome:
     is the formula's model on SAT: the probe's partial assignment on the
     UP_DECIDED tier, a total one on the CDCL tier.
     elapsed covers building the engine; for a branch that is the residual's
-    engine, copied from the formula's template and patched by beta.
+    engine, built from the formula's template and the base of beta's
+    variables and patched by beta's values.
     """
 
     tier: str
@@ -164,8 +165,8 @@ class _Template:
     or more literals, on their first two literals, in clause order; units
     are the (literal, id) pairs of unit clauses, in clause order. occurs
     lists the ids of the clauses holding each literal, and index maps each
-    clause's sorted literals to its id, so an engine restricted by a branch
-    patches only the clauses the branch touches.
+    clause's sorted literals to its id; a decomposition set's base reads
+    both to find the clauses its branches touch.
     """
 
     def __init__(self, formula: CnfFormula) -> None:
@@ -202,24 +203,74 @@ def _template(formula: CnfFormula) -> _Template:
     return _cached[1]
 
 
+class _SetBase:
+    """What every branch over one set of variables shares, worked out once.
+
+    touched are the ids of the clauses holding a member. groups gathers
+    them by the literal set of their remainder (their literals off the set,
+    in clause order), which no branch changes: a group is (members, other),
+    members the (id, remainder) pairs in clause order, other the id of the
+    untouched clause with the remainder's literals, or None. watches and
+    units are the template's without the touched ids (lists kept are shared).
+    """
+
+    def __init__(self, t: _Template, members: tuple[int, ...]) -> None:
+        inside = set(members)
+        touched = set()
+        for v in members:
+            touched.update(t.occurs[2 * v], t.occurs[2 * v + 1])
+        self.touched = sorted(touched)
+        groups: dict[Clause, tuple[list[tuple[int, list[int]]], int | None]] = {}
+        watched = set()
+        for ci in self.touched:
+            cl = t.clauses[ci]
+            if len(cl) > 1:
+                watched.update((_widx(cl[0]), _widx(cl[1])))
+            rest = [lit for lit in cl if abs(lit) not in inside]
+            key = tuple(sorted(rest))
+            if key not in groups:
+                groups[key] = ([], t.index.get(key))
+            groups[key][0].append((ci, rest))
+        self.groups = list(groups.values())
+        self.watches = t.watches.copy()
+        for w in watched:
+            self.watches[w] = [ci for ci in t.watches[w] if ci not in touched]
+        self.units = [u for u in t.units if u[1] not in touched]
+
+
+# the last (formula object, sorted members) base: a set's branches come in a row
+_cached_base: tuple[CnfFormula, tuple[int, ...], _SetBase] | None = None
+
+
+def _set_base(formula: CnfFormula, t: _Template, beta: Assignment) -> _SetBase:
+    global _cached_base
+    members = tuple(sorted(beta))
+    cached = _cached_base
+    if cached is None or cached[0] is not formula or cached[1] != members:
+        _cached_base = (formula, members, _SetBase(t, members))
+    return _cached_base[2]
+
+
 class _Engine:
     """CDCL core of full solving, the propagate-only probe, closure sizes
     and the RUP checker.
 
-    Its clause and watch lists are copies of the formula's template. With a
-    beta, the engine is that of substitute(formula, beta), clause ids kept:
-    a clause the residual drops is a dead slot (None) that no watch list or
-    unit names, so propagation, search and proofs run as on the residual.
+    Its lists are copies of the formula's template or, with a beta, of the
+    base of beta's variables; the engine is then that of substitute(formula,
+    beta), clause ids kept: a clause the residual drops is a dead slot (None)
+    that no watch list or unit names, so propagation, search and proofs run
+    as on the residual.
     """
 
     def __init__(
         self, formula: CnfFormula, cfg: SolverConfig, beta: Assignment | None = None
     ) -> None:
         t = _template(formula)
+        base = _set_base(formula, t, beta) if beta else t
         nv = formula.num_vars
         self.nv = nv
         self.clauses: list[list[int] | None] = list(map(list, t.clauses))
-        self.watches: list[list[int]] = list(map(list.copy, t.watches))
+        self.watches: list[list[int]] = list(map(list.copy, base.watches))
         self.assigns: list[int] = [_UNSET] * (nv + 1)
         self.levels: list[int] = [0] * (nv + 1)
         self.reasons: list[int | None] = [None] * (nv + 1)
@@ -232,63 +283,47 @@ class _Engine:
         self.conflicts = 0
         self.proof: list[tuple[str, Clause]] | None = [] if cfg.proof_logging else None
         self.ok = t.ok
-        self._init_units = t.units.copy()
+        self._init_units = base.units.copy()
         self.n_original = len(t.clauses)
-        if beta:
-            self._restrict(t, beta)
-
-    def _restrict(self, t: _Template, beta: Assignment) -> None:
-        """Patch the clauses beta touches as substitute does: a satisfied
-        clause dies, a shortened one keeps its other literals in order and
-        is watched on its new first two, and of clauses that end up equal
-        the first survives. A clause left empty makes ok False, which is
-        all a trivially unsatisfiable engine reads."""
+        if not beta:
+            return
+        # patch the touched clauses as substitute does: a clause with a true
+        # literal dies, and the first survivor of a group keeps its remainder
+        # unless an earlier untouched clause holds it (a later one dies); a
+        # surviving empty remainder makes ok False, all such an engine reads
         clauses = self.clauses
         watches = self.watches
-        tclauses = t.clauses
-        satisfied: set[int] = set()
-        shortened: set[int] = set()
+        satisfied = set()
         for v, val in beta.items():
-            w = 2 * v + 1 - val  # _widx of v's true literal; w ^ 1 is its false one
-            satisfied.update(t.occurs[w])
-            shortened.update(t.occurs[w ^ 1])
-            # every clause on v's two watch lists is touched
-            watches[w] = []
-            watches[w ^ 1] = []
-        shortened -= satisfied
-        seen: set[Clause] = set()
-        kept = []
-        killed = []
-        for ci in sorted(shortened):
-            lits = [lit for lit in tclauses[ci] if abs(lit) not in beta]
-            if not lits:
+            satisfied.update(t.occurs[2 * v + 1 - val])  # v's true literal
+        units = []
+        for ci in base.touched:
+            clauses[ci] = None
+        for members, other in base.groups:
+            for ci, rest in members:
+                if ci not in satisfied:
+                    break
+            else:
+                continue  # every member is satisfied
+            if not rest:
                 self.ok = False
                 return
-            key = tuple(sorted(lits))
-            first = t.index.get(key, ci)  # an untouched clause with these literals
-            if key in seen or first < ci:
-                continue
-            seen.add(key)
-            if first != ci:
-                killed.append(first)
-            kept.append((ci, lits))
-        for ci in chain(satisfied, shortened, killed):
-            clauses[ci] = None
-            cl = tclauses[ci]
-            if len(cl) > 1:
-                for lit in cl[:2]:
-                    if abs(lit) not in beta:
-                        watches[_widx(lit)].remove(ci)
-        units = []
-        for ci, lits in kept:
-            clauses[ci] = lits
-            if len(lits) == 1:
-                units.append((lits[0], ci))
+            if other is not None:
+                if other < ci:
+                    continue
+                clauses[other] = None
+                if len(rest) > 1:
+                    for lit in t.clauses[other][:2]:
+                        watches[_widx(lit)].remove(other)
+            clauses[ci] = rest.copy()
+            if len(rest) == 1:
+                units.append((rest[0], ci))
             else:
-                insort(watches[_widx(lits[0])], ci)
-                insort(watches[_widx(lits[1])], ci)
-        units += [u for u in t.units if clauses[u[1]] is not None]
-        self._init_units = sorted(units, key=itemgetter(1))
+                insort(watches[_widx(rest[0])], ci)
+                insort(watches[_widx(rest[1])], ci)
+        if units:  # a killed untouched unit always leaves a kept unit
+            units += [u for u in base.units if clauses[u[1]] is not None]
+            self._init_units = sorted(units, key=itemgetter(1))
 
     def _enqueue(self, lit: int, reason: int | None) -> None:
         v = lit if lit > 0 else -lit
@@ -324,59 +359,80 @@ class _Engine:
         return self.propagate() == -1
 
     def propagate(self) -> int:
-        """Unit propagation to fixpoint. Returns a conflict clause index or -1."""
+        """Unit propagation to fixpoint. Returns a conflict clause index or -1.
+
+        _enqueue and _widx are inlined, and the truth tests split by sign: a
+        literal x > 0 is true if assigns[x] == 1, false if it is 0."""
         clauses = self.clauses
         watches = self.watches
         assigns = self.assigns
+        levels = self.levels
+        reasons = self.reasons
         trail = self.trail
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            wl = watches[_widx(-p)]
+        level = len(self.trail_lim)
+        qhead = self.qhead
+        props = self.propagations
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            np = -p
+            wl = watches[2 * p + 1 if p > 0 else -2 * p]
             i = j = 0
             n = len(wl)
-            confl = -1
             while i < n:
                 ci = wl[i]
                 i += 1
                 cl = clauses[ci]
-                if cl[0] == -p:
+                if cl[0] == np:
                     cl[0] = cl[1]
-                    cl[1] = -p
+                    cl[1] = np
                 first = cl[0]
-                fv = first if first > 0 else -first
-                a = assigns[fv]
-                if a != _UNSET and (a == 1) == (first > 0):
-                    wl[j] = ci
-                    j += 1
-                    continue
-                found = False
+                if first > 0:
+                    a = assigns[first]
+                    if a == 1:
+                        wl[j] = ci
+                        j += 1
+                        continue
+                else:
+                    a = assigns[-first]
+                    if a == 0:
+                        wl[j] = ci
+                        j += 1
+                        continue
                 for k in range(2, len(cl)):
                     lk = cl[k]
-                    kv = lk if lk > 0 else -lk
-                    ak = assigns[kv]
-                    if ak == _UNSET or (ak == 1) == (lk > 0):
+                    if lk > 0:
+                        if assigns[lk] != 0:
+                            cl[1] = lk
+                            cl[k] = np
+                            watches[2 * lk].append(ci)
+                            break
+                    elif assigns[-lk] != 1:
                         cl[1] = lk
-                        cl[k] = -p
-                        watches[_widx(lk)].append(ci)
-                        found = True
+                        cl[k] = np
+                        watches[1 - 2 * lk].append(ci)
                         break
-                if found:
-                    continue
-                wl[j] = ci
-                j += 1
-                if a != _UNSET:
-                    confl = ci
-                    while i < n:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    break
-                self._enqueue(first, ci)
+                else:
+                    wl[j] = ci
+                    j += 1
+                    if a != _UNSET:  # first is false: a conflict
+                        del wl[j:i]
+                        self.qhead = len(trail)
+                        self.propagations = props
+                        return ci
+                    if first > 0:
+                        assigns[first] = 1
+                        fv = first
+                    else:
+                        assigns[-first] = 0
+                        fv = -first
+                    levels[fv] = level
+                    reasons[fv] = ci
+                    trail.append(first)
+                    props += 1
             del wl[j:]
-            if confl != -1:
-                self.qhead = len(trail)
-                return confl
+        self.qhead = qhead
+        self.propagations = props
         return -1
 
     def assume(self, lits) -> int | None:
@@ -563,9 +619,11 @@ def evaluate_branch(
 ) -> BranchOutcome:
     """Evaluate the branch formula substitute(formula, beta) on one engine.
 
-    The engine is copied from the formula's template, built by the first
-    engine of a formula object, and only the clauses beta touches are
-    patched; substitute itself is not called. The cyclic garbage collector
+    The engine copies the clause lists of the formula's template, built by
+    the first engine of a formula object, and the watch lists of the base of
+    beta's variables, built by the first branch of that set; one pass over
+    the clauses the set touches then applies beta's values, and substitute
+    itself is not called. The cyclic garbage collector
     is off during the call, restored after it: the engine's lists die by
     reference count. The outcome's elapsed includes building the residual.
 

@@ -3,17 +3,21 @@
 Everything here is written as a plain brute-force loop with no shared code
 paths: truth tables enumerate all 2^n total assignments, and the hardness
 oracles enumerate all 2^|B| branches one substitution at a time. Slow on
-purpose; only run on small fixtures.
+purpose; only run on small fixtures. The one exception is
+reference_propagate, the plain form of the engine's propagate loop, which
+runs on an engine's state.
 """
 
 import itertools
 
 from satdecomp.formula import CnfFormula, substitute
 from satdecomp.solver import (
+    _UNSET,
     DECIDED_SAT,
     DECIDED_UNSAT,
     SAT,
     UNSAT,
+    _widx,
     propagate_only,
     solve,
     workload,
@@ -179,3 +183,63 @@ def naive_check_drat(formula: CnfFormula, steps):
             return (True, None) if si == len(steps) - 1 else (False, si)
         db.append((key, frozenset(cl)))
     return False, len(steps) - 1 if steps else None
+
+
+def reference_propagate(eng) -> int:
+    """The engine's propagate loop as it was before _enqueue and _widx were
+    inlined into it, run on a solver engine's own state: the reference the
+    inlined loop must match step for step (trail, reasons, levels, clause
+    literal order, watch lists, propagation count, conflict id)."""
+    clauses = eng.clauses
+    watches = eng.watches
+    assigns = eng.assigns
+    trail = eng.trail
+    while eng.qhead < len(trail):
+        p = trail[eng.qhead]
+        eng.qhead += 1
+        wl = watches[_widx(-p)]
+        i = j = 0
+        n = len(wl)
+        confl = -1
+        while i < n:
+            ci = wl[i]
+            i += 1
+            cl = clauses[ci]
+            if cl[0] == -p:
+                cl[0] = cl[1]
+                cl[1] = -p
+            first = cl[0]
+            fv = first if first > 0 else -first
+            a = assigns[fv]
+            if a != _UNSET and (a == 1) == (first > 0):
+                wl[j] = ci
+                j += 1
+                continue
+            found = False
+            for k in range(2, len(cl)):
+                lk = cl[k]
+                kv = lk if lk > 0 else -lk
+                ak = assigns[kv]
+                if ak == _UNSET or (ak == 1) == (lk > 0):
+                    cl[1] = lk
+                    cl[k] = -p
+                    watches[_widx(lk)].append(ci)
+                    found = True
+                    break
+            if found:
+                continue
+            wl[j] = ci
+            j += 1
+            if a != _UNSET:
+                confl = ci
+                while i < n:
+                    wl[j] = wl[i]
+                    j += 1
+                    i += 1
+                break
+            eng._enqueue(first, ci)
+        del wl[j:]
+        if confl != -1:
+            eng.qhead = len(trail)
+            return confl
+    return -1

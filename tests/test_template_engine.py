@@ -1,10 +1,11 @@
-"""Branch engines copied from a formula's template against the residual.
+"""Branch engines built from a formula's template against the residual.
 
-evaluate_branch no longer builds substitute(formula, beta): it copies the
-formula's template and patches the clauses beta touches. Its clause
-database, dead slots skipped, must equal that of an engine built on the
-residual, clause for clause, watch list for watch list, and the branch must
-report what the reference path (substitute, propagate_only, solve) reports.
+evaluate_branch does not build substitute(formula, beta): it copies the
+formula's clause lists and the watch lists of the base of beta's variables,
+and patches the clauses beta touches. Its clause database, dead slots
+skipped, must equal that of an engine built on the residual, clause for
+clause, watch list for watch list, and the branch must report what the
+reference path (substitute, propagate_only, solve) reports.
 """
 import gc
 
@@ -122,6 +123,73 @@ def narrow_formula_and_assignment(draw):
 @given(fa=narrow_formula_and_assignment())
 def test_narrow_branches_match_residual(fa):
     check_branch(*fa)
+
+
+def check_base_sequence(steps):
+    """Build each (formula, beta) engine in turn and compare it with the
+    residual's; the set base cached after each build must be that of the
+    formula object and of beta's variables."""
+    cfg = SolverConfig()
+    for f, beta in steps:
+        patched = solver._Engine(f, cfg, beta)
+        assert solver._cached_base[0] is f
+        assert solver._cached_base[1] == tuple(sorted(beta))
+        assert database(patched) == database(solver._Engine(substitute(f, beta), cfg))
+
+
+# F: with A = {1}, beta {1: 0} shortens (1 3 2) to the untouched (2 3),
+# which comes first, and beta {1: 1} shortens (-1 4 -2) to the untouched
+# (-2 4), which comes later and dies; with {1, 4}, beta {1: 0, 4: 1}
+# empties (1 -4)
+BASE_F = CnfFormula(4, ((2, 3), (1, 3, 2), (-1, 4, -2), (-2, 4), (1, -4), (3, -4)))
+
+
+def test_set_base_cache_switches_between_sets_and_formula_objects():
+    f = BASE_F
+    g = CnfFormula(f.num_vars, f.clauses)  # equal, but another object
+    below, above = {1: 0}, {1: 1}
+    empties = {1: 0, 4: 1}
+    assert substitute(f, below).clauses[0] == (2, 3)
+    assert substitute(f, above).clauses[1:2] == ((4, -2),)
+    assert substitute(f, empties).clauses == ((),)
+    check_base_sequence([
+        (f, below), (f, above), (f, empties), (f, below),
+        (g, above), (g, below), (g, {1: 1, 4: 0}), (f, above),
+    ])
+    for beta in (below, above, empties):
+        check_branch(f, beta)
+
+
+@st.composite
+def interleaved_sets(draw):
+    """Two formula objects over the same variables, two sets A and B, and
+    branches of them in the order A, A, B, A on each object in turn."""
+    f, _ = draw(narrow_formula_and_assignment())
+    nv = f.num_vars
+    g = draw(st.one_of(
+        st.just(CnfFormula(nv, f.clauses)),
+        narrow_formula_and_assignment().map(lambda fa: fa[0]).filter(
+            lambda h: h.num_vars == nv
+        ),
+    ))
+    members = st.lists(
+        st.integers(min_value=1, max_value=nv), min_size=1, max_size=nv, unique=True
+    )
+    sets = [draw(members), draw(members)]
+    steps = []
+    for h in (f, g, f):
+        for k in (0, 0, 1, 0):
+            values = draw(st.lists(
+                st.sampled_from((0, 1)), min_size=len(sets[k]), max_size=len(sets[k])
+            ))
+            steps.append((h, dict(zip(sets[k], values))))
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=interleaved_sets())
+def test_interleaved_sets_match_residual(steps):
+    check_base_sequence(steps)
 
 
 @pytest.mark.parametrize("beta", [{7: 1}, {0: 1}, {1: 2}])
